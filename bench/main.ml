@@ -373,25 +373,14 @@ let preemption ~instances () =
      heuristics: unfairness comes@.   from ignoring contributions, not from \
      the no-preemption constraint)@."
 
-(* --- E23: sequential vs parallel REF ----------------------------------- *)
+(* --- E23: REF wall-clock --------------------------------------------- *)
 
 let ref_scaling ~ks ~horizon () =
-  section "ref_scaling — sequential vs domain-parallel REF wall-clock";
+  section "ref_scaling — REF wall-clock";
   let cores = Domain.recommended_domain_count () in
-  let single_core = cores < 2 in
-  let par_workers = Stdlib.max 2 (cores - 1) in
   let machines = 16 in
-  Format.printf "  cores=%d  parallel workers=%d  machines=%d@.@." cores
-    par_workers machines;
-  if single_core then
-    Format.printf
-      "  !! single-core machine: the parallel run below time-shares %d \
-       domains on 1 core,@.     so its wall time measures dispatch overhead, \
-       not speedup — rows are flagged@.     \"single_core\": true and the \
-       speedup column is not meaningful here.@.@."
-      par_workers;
-  Format.printf "  %-3s %-8s | %-10s %-10s %-8s %-9s@." "k" "horizon"
-    "seq (s)" "par (s)" "speedup" "identical";
+  Format.printf "  cores=%d  machines=%d@.@." cores machines;
+  Format.printf "  %-3s %-8s | %-10s %-9s@." "k" "horizon" "seconds" "instants";
   let rows =
     List.map
       (fun k ->
@@ -401,41 +390,23 @@ let ref_scaling ~ks ~horizon () =
                Workload.Traces.lpc_egee)
             ~seed:42
         in
-        let run workers =
-          let rng = Fstats.Rng.create ~seed:7 in
-          let t0 = Obs.Clock.now_ns () in
-          let r =
-            Sim.Driver.run ~record:false ~workers ~instance ~rng
-              (Algorithms.Reference.make ())
-          in
-          (Obs.Clock.elapsed t0, r)
+        let rng = Fstats.Rng.create ~seed:7 in
+        let t0 = Obs.Clock.now_ns () in
+        let r =
+          Sim.Driver.run ~record:false ~instance ~rng
+            (Algorithms.Reference.make ())
         in
-        let seq_s, seq_r = run 1 in
-        let par_s, par_r = run par_workers in
-        let identical =
-          seq_r.Sim.Driver.utilities_scaled = par_r.Sim.Driver.utilities_scaled
-          && seq_r.Sim.Driver.parts = par_r.Sim.Driver.parts
-        in
-        let speedup = seq_s /. Stdlib.max 1e-9 par_s in
-        Format.printf "  %-3d %-8d | %-10.3f %-10.3f %-8.2f %-9b@." k horizon
-          seq_s par_s speedup identical;
-        if not identical then
-          Format.printf "  !! parallel REF diverged from sequential at k=%d@."
-            k;
-        let st = seq_r.Sim.Driver.stats in
+        let seconds = Obs.Clock.elapsed t0 in
+        let st = r.Sim.Driver.stats in
+        Format.printf "  %-3d %-8d | %-10.3f %-9d@." k horizon seconds
+          st.Kernel.Stats.instants;
         Obs.Json.Obj
           [
             ("k", Obs.Json.Int k);
             ("horizon", Obs.Json.Int horizon);
             ("machines", Obs.Json.Int machines);
             ("cores", Obs.Json.Int cores);
-            ("single_core", Obs.Json.Bool single_core);
-            ("workers_seq", Obs.Json.Int 1);
-            ("workers_par", Obs.Json.Int par_workers);
-            ("seq_seconds", Obs.Json.Float seq_s);
-            ("par_seconds", Obs.Json.Float par_s);
-            ("speedup", Obs.Json.Float speedup);
-            ("identical", Obs.Json.Bool identical);
+            ("seconds", Obs.Json.Float seconds);
             ("event_instants", Obs.Json.Int st.Kernel.Stats.instants);
             ("rounds", Obs.Json.Int st.Kernel.Stats.rounds);
             ("heap_pops", Obs.Json.Int st.Kernel.Stats.heap_pops);
@@ -443,10 +414,7 @@ let ref_scaling ~ks ~horizon () =
           ])
       ks
   in
-  record_json "ref_scaling" (Obs.Json.List rows);
-  Format.printf
-    "  (bit-identical utilities are asserted on every row; the speedup \
-     column@.   only means anything on a multi-core machine)@."
+  record_json "ref_scaling" (Obs.Json.List rows)
 
 (* --- E24: approximation tier (DESIGN.md §13) --------------------------- *)
 

@@ -90,10 +90,10 @@ let workers_arg =
     & opt (some (positive_int_conv "--workers")) None
     & info [ "workers"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel-capable algorithms (REF's \
-           sub-coalition engine).  1 forces strictly sequential execution; \
-           the default is $(b,Domain.recommended_domain_count () - 1).  \
-           Results are bit-identical for every worker count.")
+          "Worker domains the independent instances are spread across.  \
+           1 runs them one after another; the default is \
+           $(b,Domain.recommended_domain_count () - 1).  Results are \
+           identical for every worker count.")
 
 let csv_arg =
   Arg.(
@@ -245,8 +245,8 @@ let metrics_arg =
     & opt ~vopt:(Some None) (some (some string)) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Collect runtime metrics: latency histograms, event-heap \
-           counters, pool busy/idle times.  Bare $(b,--metrics) prints \
+          "Collect runtime metrics: latency histograms, event-heap and \
+           value-cache counters.  Bare $(b,--metrics) prints \
            them to stdout after the run; the glued form \
            $(b,--metrics=FILE) writes pretty JSON to FILE.")
 
@@ -346,9 +346,8 @@ let simulate_cmd =
             "Kill budget per job under faults: after N restarts a killed \
              job is abandoned (default: unbounded).")
   in
-  let run model algo estimator no_value_cache norgs machines horizon seed
-      workers gantt fault_spec fault_script federation_spec max_restarts trace
-      metrics =
+  let run model algo estimator no_value_cache norgs machines horizon seed gantt
+      fault_spec fault_script federation_spec max_restarts trace metrics =
     (match max_restarts with
     | Some r when r < 0 -> die "--max-restarts must be >= 0"
     | Some _ | None -> ());
@@ -397,8 +396,7 @@ let simulate_cmd =
         report_federation federation;
         let rng = Fstats.Rng.create ~seed in
         let result =
-          Sim.Driver.run ?workers ~faults ~federation ?max_restarts ~instance
-            ~rng maker
+          Sim.Driver.run ~faults ~federation ?max_restarts ~instance ~rng maker
         in
         Format.printf "%a@." Sim.Driver.pp_result result;
         Format.printf "utilization: %.3f  wall: %.2fs@."
@@ -425,9 +423,9 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run one algorithm on one synthetic scenario.")
     Term.(
       const run $ model_arg $ algo_arg $ estimator_arg $ no_value_cache_arg
-      $ norgs_arg $ machines_arg $ horizon_arg 50_000 $ seed_arg $ workers_arg
-      $ gantt_arg $ faults_arg $ faults_script_arg $ federation_arg
-      $ max_restarts_arg $ trace_arg $ metrics_arg)
+      $ norgs_arg $ machines_arg $ horizon_arg 50_000 $ seed_arg $ gantt_arg
+      $ faults_arg $ faults_script_arg $ federation_arg $ max_restarts_arg
+      $ trace_arg $ metrics_arg)
 
 (* --- table ----------------------------------------------------------- *)
 
@@ -907,7 +905,7 @@ let groups_arg =
    seed) through Scenario.split_and_map makes `serve` and `loadgen` with
    the same flags consistent by construction. *)
 let service_config ~model ~norgs ~machines ~horizon ~algorithm ~seed ~split
-    ~max_restarts ~workers ~groups ~federated =
+    ~max_restarts ~groups ~federated =
   let machine_split =
     match split with
     | Some counts -> counts
@@ -916,7 +914,7 @@ let service_config ~model ~norgs ~machines ~horizon ~algorithm ~seed ~split
         fst (Workload.Scenario.split_and_map spec ~seed)
   in
   match
-    Service.Config.make ?max_restarts ?workers ~groups ~federated
+    Service.Config.make ?max_restarts ~groups ~federated
       ~machines:machine_split ~horizon ~algorithm ~seed ()
   with
   | Ok c -> c
@@ -1097,8 +1095,8 @@ let serve_cmd =
              line) instead of text on stderr.")
   in
   let run listen state model algo estimator norgs machines horizon seed split
-      workers max_restarts queue_cap snapshot_every chaos degrade
-      overload_queue overload_ms overload_trip overload_recover groups shards
+      max_restarts queue_cap snapshot_every chaos degrade overload_queue
+      overload_ms overload_trip overload_recover groups shards
       commit_interval federation_spec log_level log_file trace metrics =
     (match max_restarts with
     | Some r when r < 0 -> die "--max-restarts must be >= 0"
@@ -1135,7 +1133,7 @@ let serve_cmd =
     let federated = federation_spec <> None in
     let service =
       service_config ~model ~norgs ~machines ~horizon ~algorithm:algo ~seed
-        ~split ~max_restarts ~workers ~groups ~federated
+        ~split ~max_restarts ~groups ~federated
     in
     (* A SPEC|FILE value is validated against the booted cluster shape now
        (fail fast, exit 2); the events themselves arrive over the socket —
@@ -1190,7 +1188,7 @@ let serve_cmd =
     Term.(
       const run $ listen_arg $ state_arg $ model_arg $ algo_arg
       $ estimator_arg $ norgs_arg
-      $ machines_arg $ horizon_arg 50_000 $ seed_arg $ split_arg $ workers_arg
+      $ machines_arg $ horizon_arg 50_000 $ seed_arg $ split_arg
       $ max_restarts_arg $ queue_cap_arg $ snapshot_every_arg $ chaos_arg
       $ degrade_arg $ overload_queue_arg $ overload_ms_arg $ overload_trip_arg
       $ overload_recover_arg $ groups_arg $ shards_arg $ commit_interval_arg

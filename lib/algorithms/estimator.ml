@@ -63,8 +63,8 @@ let sample_count t ~players =
   | Sampled { epsilon; confidence } ->
       Some (Shapley.Sample.sample_count ~players ~epsilon ~confidence)
 
-let maker ?workers ?value_cache = function
-  | Exact -> Reference.make ?workers ?value_cache ()
+let maker ?value_cache = function
+  | Exact -> Reference.make ?value_cache ()
   | Fixed n -> Rand.rand ?value_cache ~n
   | Sampled { epsilon; confidence } ->
       fun instance ~rng ->

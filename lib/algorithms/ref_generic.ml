@@ -16,7 +16,6 @@ type gsim = {
 
 type state = {
   k : int;
-  workers : int;
   grand : Coalition.t;
   utility : Utility.Functions.t;
   sims : gsim option array;  (* indexed by mask; None for grand/machine-less *)
@@ -53,12 +52,7 @@ let local_of_global_of instance mask =
   done;
   tbl
 
-let create_state ~utility ?workers ?max_restarts instance =
-  let workers =
-    match workers with
-    | Some w -> Stdlib.max 1 w
-    | None -> Core.Domain_pool.default_workers ()
-  in
+let create_state ~utility ?max_restarts instance =
   let k = Instance.organizations instance in
   if k > 8 then
     invalid_arg
@@ -129,7 +123,7 @@ let create_state ~utility ?workers ?max_restarts instance =
   let by_size = Array.init k (fun i -> masks_of_size (i + 1)) in
   let all_masks = Array.concat (Array.to_list by_size) in
   Array.sort Stdlib.compare all_masks;
-  { k; workers; grand; utility; sims; by_size; all_masks }
+  { k; grand; utility; sims; by_size; all_masks }
 
 let schedule_of_sim sim =
   Schedule.of_placements
@@ -248,14 +242,12 @@ let wire_rounds st =
 (* Lockstep advance of all sub-coalition simulations, exactly like
    [Reference.advance_all] but with recorded schedules and the generic
    selection rule.  Each sim is a {!Kernel.Engine} instance; the
-   arrival/completion phases ([drain_events]) are independent across sims
-   and the scheduling round of a coalition only reads the schedules of
-   strictly smaller ones (frozen within the instant), so both run as
-   parallel stages over the persistent pool when [workers > 1] — with the
-   same size-ascending staging as {!Reference}, and bit-identical results
-   for every worker count.  The k <= 8 cap keeps the O(2^k) earliest-event
-   fold trivial (<= 255 sims), so unlike {!Reference} no event heap is
-   needed here. *)
+   arrival/completion phases ([drain_events]) run first, then the
+   scheduling rounds size class by size class, as in {!Reference}: the
+   round of a coalition only reads the schedules of strictly smaller ones
+   (frozen within the instant).  The k <= 8 cap keeps the O(2^k)
+   earliest-event fold trivial (<= 255 sims), so unlike {!Reference} no
+   event heap is needed here. *)
 let advance_all st ~time =
   let earliest () =
     Array.fold_left
@@ -269,19 +261,9 @@ let advance_all st ~time =
       max_int st.all_masks
   in
   let iter_masks masks f =
-    let task i =
-      match st.sims.(masks.(i)) with None -> () | Some sim -> f sim
-    in
-    if st.workers > 1 then
-      (* Chunk 1 with a sequential cutoff: generic-utility round tasks are
-         heavy (schedule re-evaluation per decision) but few, so per-task
-         claiming balances load while tiny stages stay inline. *)
-      Core.Domain_pool.parallel_chunks ~workers:st.workers ~chunk:1 ~cutoff:2
-        task (Array.length masks)
-    else
-      for i = 0 to Array.length masks - 1 do
-        task i
-      done
+    Array.iter
+      (fun mask -> match st.sims.(mask) with None -> () | Some sim -> f sim)
+      masks
   in
   let rec loop () =
     let tau = earliest () in
@@ -297,8 +279,8 @@ let advance_all st ~time =
   in
   loop ()
 
-let make ~utility ?name ?workers ?max_restarts () instance ~rng:_ =
-  let st = create_state ~utility ?workers ?max_restarts instance in
+let make ~utility ?name ?max_restarts () instance ~rng:_ =
+  let st = create_state ~utility ?max_restarts instance in
   wire_rounds st;
   let name =
     Option.value name
@@ -356,9 +338,8 @@ let make ~utility ?name ?workers ?max_restarts () instance ~rng:_ =
         ~at:time)
     ()
 
-let make_with utility_of ?name ?workers ?max_restarts () instance ~rng =
-  make ~utility:(utility_of instance) ?name ?workers ?max_restarts () instance
-    ~rng
+let make_with utility_of ?name ?max_restarts () instance ~rng =
+  make ~utility:(utility_of instance) ?name ?max_restarts () instance ~rng
 
 let ref_psp instance ~rng =
   make ~utility:Utility.Functions.psp ~name:"ref-generic-psp" () instance ~rng

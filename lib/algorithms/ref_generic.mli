@@ -24,22 +24,19 @@ open Core
     {!Reference}, which this module is property-tested against. *)
 
 val make :
-  utility:Utility.Functions.t -> ?name:string -> ?workers:int ->
-  ?max_restarts:int -> unit -> Policy.maker
+  utility:Utility.Functions.t -> ?name:string -> ?max_restarts:int ->
+  unit -> Policy.maker
 (** The driver must run with [record:true] (the default) — the grand
     coalition's utilities are evaluated on the recorded schedule.
-    [workers] caps the domains used for the per-instant parallel stages
-    (1 = strictly sequential); defaults to the driver's domain-local
-    default ({!Core.Domain_pool.default_workers}).  Output is bit-identical
-    for every worker count.  Machine faults are mirrored into the
+    Machine faults are mirrored into the
     sub-coalition schedules; killed attempts are excised from the recorded
     schedules, so the generic ψ evaluation never counts lost work.
     [max_restarts] bounds resubmissions inside those simulations (default
     unbounded). *)
 
 val make_with :
-  (Instance.t -> Utility.Functions.t) -> ?name:string -> ?workers:int ->
-  ?max_restarts:int -> unit -> Policy.maker
+  (Instance.t -> Utility.Functions.t) -> ?name:string -> ?max_restarts:int ->
+  unit -> Policy.maker
 (** Like {!make} for utilities that need the instance (e.g.
     {!Utility.Functions.neg_flow_time} needs the job list). *)
 

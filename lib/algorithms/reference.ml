@@ -17,28 +17,21 @@ type concept = Shapley_value | Banzhaf_value
      machines stay saturated-or-drained until a completion or release of
      its own).
 
-   - per-instant work is staged and domain-parallel: arrivals/completions
-     are independent across sims, and the scheduling round of a coalition
-     only reads the (frozen-within-the-instant) values of strictly smaller
-     coalitions, so each size class s = 1..k-1 is an independent parallel
-     stage (Fig. 1's [for s <- 1 to ||C||] loop).  Stages run on the
-     persistent pool in Core.Domain_pool; with [workers = 1] the same
-     stages run inline and the engine is strictly sequential.
+   - per-instant work is staged: arrivals/completions of every sim with
+     an event first, then the scheduling rounds size class by size class
+     s = 1..k-1 (Fig. 1's [for s <- 1 to ||C||] loop).  The round of a
+     coalition only reads the (frozen-within-the-instant) values of
+     strictly smaller coalitions.
 
    - the inner 3^k Shapley sum is allocation-free: weight tables are
      hoisted into per-size float arrays at construction, popcounts come
      from a precomputed table, and the subset walk runs over a preflattened
      int array (for k <= 12; an inline submask walk beyond) instead of
-     closure-based iterators.
-
-   Outputs are bit-identical across worker counts: parallelism only spans
-   sims that do not read each other's mutable state within an instant, and
-   every float accumulates in the same order as the sequential engine. *)
+     closure-based iterators. *)
 
 type internals = {
   concept : concept;
   k : int;
-  workers : int;
   vc_on : bool;  (* cross-instant coalition-value cache enabled *)
   federated : bool;
       (* endowment churn in play (Federation.Mode at construction): sims
@@ -46,8 +39,7 @@ type internals = {
          is computed over the live consortium instead of the grand mask *)
   mutable consortium : Coalition.t;
       (* the currently active organizations k(t); equals [grand] until a
-         Leave arrives.  Only mutated by the on_endow handler (driver
-         domain), only read between instants — no synchronization needed. *)
+         Leave arrives.  Only mutated by the on_endow handler. *)
   grand : Coalition.t;
   sims : Coalition_sim.t option array;
       (* indexed by mask; None for the grand coalition (the driver's own
@@ -56,9 +48,6 @@ type internals = {
          ever runs).  Federated mode keeps sims for every proper mask: a
          lend can endow a machine-less coalition at any instant. *)
   all_masks : int array;  (* simulated masks, ascending *)
-  by_size : int array array;
-      (* by_size.(s-1): simulated masks of size s, ascending — grouped at
-         construction so the staged loops iterate without list allocation *)
   size_tbl : int array;  (* popcount per mask *)
   weights : float array array;
       (* weights.(n).(s-1): marginal weight of a size-s subset inside a
@@ -95,13 +84,8 @@ type internals = {
          global event-heap pops *)
 }
 
-let create_internals ?(concept = Shapley_value) ?workers ?max_restarts
+let create_internals ?(concept = Shapley_value) ?max_restarts
     ?(value_cache = true) instance =
-  let workers =
-    match workers with
-    | Some w -> Stdlib.max 1 w
-    | None -> Domain_pool.default_workers ()
-  in
   let k = Instance.organizations instance in
   if k > 16 then
     invalid_arg "Reference: more than 16 organizations is impractical (2^k \
@@ -129,23 +113,13 @@ let create_internals ?(concept = Shapley_value) ?workers ?max_restarts
     end
   done;
   let all_masks = Array.make !n_sims 0 in
-  let counts = Array.make k 0 in
   let pos = ref 0 in
   for mask = 1 to grand - 1 do
     if sims.(mask) <> None then begin
       all_masks.(!pos) <- mask;
-      incr pos;
-      counts.(size_tbl.(mask) - 1) <- counts.(size_tbl.(mask) - 1) + 1
+      incr pos
     end
   done;
-  let by_size = Array.map (fun c -> Array.make c 0) counts in
-  let fill = Array.make k 0 in
-  Array.iter
-    (fun mask ->
-      let s = size_tbl.(mask) - 1 in
-      by_size.(s).(fill.(s)) <- mask;
-      fill.(s) <- fill.(s) + 1)
-    all_masks;
   let weights = Array.make (k + 1) [||] in
   for n = 1 to k do
     weights.(n) <-
@@ -186,14 +160,12 @@ let create_internals ?(concept = Shapley_value) ?workers ?max_restarts
   {
     concept;
     k;
-    workers;
     vc_on = value_cache;
     federated;
     consortium = grand;
     grand;
     sims;
     all_masks;
-    by_size;
     size_tbl;
     weights;
     subsets_flat;
@@ -240,9 +212,8 @@ let compute_v2 st sim ~mask ~time =
   end
 
 (* 2·v(mask) at [time] for simulated masks; machine-less or empty masks are
-   identically 0.  During a parallel scheduling stage every simulated mask
-   has already been stamped at [time] (see [process_instant]), so this is a
-   pure read there; the lazy write path only runs on the owning domain. *)
+   identically 0.  Memoized per instant: coalition values do not change
+   within an instant. *)
 let v2_sim st ~mask ~time =
   if mask = Coalition.empty then 0
   else
@@ -309,9 +280,7 @@ let phi2_of st ~slot ~mask ~time ~v2_top =
       end)
 
 (* φ2 arrays are memoized per (mask, instant): coalition values do not
-   change within an instant (a job started now has no executed part yet).
-   Each slot is only ever touched by the domain scheduling that mask, so
-   the per-mask arrays need no locking. *)
+   change within an instant (a job started now has no executed part yet). *)
 let phi2_cached st ?slot ~mask ~time ~v2_top () =
   let slot = Option.value slot ~default:mask in
   if st.phi2_stamp.(slot) <> time then begin
@@ -400,35 +369,14 @@ let gather st ~tau =
 
 (* --- per-instant processing --------------------------------------------- *)
 
-(* Dispatch cutoffs (see DESIGN.md §8/§13): stages at or below the cutoff
-   run inline on the calling domain — waking a pool helper costs more than
-   the stage itself.  Scheduling-round tasks are heavyweight (a 3^s subset
-   walk each) so even a handful are worth dispatching; event-step tasks are
-   moderate; refresh tasks are one cache lookup + polynomial evaluation, so
-   only large refresh sweeps leave the calling domain, claimed in chunks
-   rather than one by one. *)
-let round_cutoff = 2
-let step_cutoff = 7
-let refresh_cutoff = 48
-
 let process_instant st ~tau ~n_active =
   let active = st.active_buf in
-  let par = st.workers > 1 in
-  let iter ~chunk ~cutoff f n =
-    if par then
-      Domain_pool.parallel_chunks ~workers:st.workers ?chunk ~cutoff f n
-    else
-      for i = 0 to n - 1 do
-        f i
-      done
-  in
-  (* Stage 1: arrivals and completions — independent across sims. *)
-  let step i =
+  (* Stage 1: arrivals and completions. *)
+  for i = 0 to n_active - 1 do
     match st.sims.(active.(i)) with
     | Some sim -> Coalition_sim.step_releases_and_completions sim ~time:tau
     | None -> ()
-  in
-  iter ~chunk:(Some 1) ~cutoff:step_cutoff step n_active;
+  done;
   let need_round = ref false in
   for i = 0 to n_active - 1 do
     match st.sims.(active.(i)) with
@@ -437,34 +385,9 @@ let process_instant st ~tau ~n_active =
         then need_round := true
     | None -> ()
   done;
-  if !need_round then begin
-    (* Stage 2 (parallel engine only): pin 2·v of every sub-coalition at
-       [tau] before any round runs, so the parallel rounds below only read
-       the v2 cache.  Values are frozen within the instant either way; the
-       sequential engine keeps the lazy per-read path. *)
-    if par then begin
-      let refresh i =
-        let mask = st.all_masks.(i) in
-        if st.v2_stamp.(mask) <> tau then begin
-          (match st.sims.(mask) with
-          | Some sim -> st.v2_val.(mask) <- compute_v2 st sim ~mask ~time:tau
-          | None -> ());
-          st.v2_stamp.(mask) <- tau
-        end
-      in
-      let run_refresh () =
-        iter ~chunk:None ~cutoff:refresh_cutoff refresh
-          (Array.length st.all_masks)
-      in
-      if Obs.Trace.enabled () then
-        Obs.Trace.span ~cat:"ref" "ref.refresh" run_refresh
-      else run_refresh ()
-    end;
-    (* Stage 3: scheduling rounds, size-ascending (Fig. 1's [for s <- 1 to
-       ||C||]); masks of equal size never read each other's state, so each
-       size class is one parallel stage.  Chunk size 1: round tasks are few
-       and uneven (the 3^s walk grows with s), so per-task claiming load
-       balances better than contiguous ranges. *)
+  if !need_round then
+    (* Stage 2: scheduling rounds, size-ascending (Fig. 1's [for s <- 1 to
+       ||C||]): a round reads the values of strictly smaller coalitions. *)
     for s = 1 to st.k - 1 do
       let stage = st.stage_buf in
       let m = ref 0 in
@@ -476,24 +399,24 @@ let process_instant st ~tau ~n_active =
         end
       done;
       if !m > 0 then begin
-        let run i =
-          let mask = stage.(i) in
-          match st.sims.(mask) with
-          | Some sim ->
-              Coalition_sim.schedule_round sim ~time:tau
-                ~select:(fun sim ~time -> select_in_sim st ~mask sim ~time)
-          | None -> ()
+        let run_stage () =
+          for i = 0 to !m - 1 do
+            let mask = stage.(i) in
+            match st.sims.(mask) with
+            | Some sim ->
+                Coalition_sim.schedule_round sim ~time:tau
+                  ~select:(fun sim ~time -> select_in_sim st ~mask sim ~time)
+            | None -> ()
+          done
         in
-        let run_stage () = iter ~chunk:(Some 1) ~cutoff:round_cutoff run !m in
         if Obs.Trace.enabled () then
           Obs.Trace.span ~cat:"ref"
             ("ref.stage.s" ^ string_of_int s)
             run_stage
         else run_stage ()
       end
-    done
-  end;
-  (* Stage 4: re-key the processed sims. *)
+    done;
+  (* Stage 3: re-key the processed sims. *)
   for i = 0 to n_active - 1 do
     reschedule st active.(i)
   done
@@ -545,11 +468,9 @@ let coalition_value_scaled st ~mask ~time =
   advance_all st ~time;
   v2_sim st ~mask ~time
 
-let make_with_internals ?(name = "ref") ?concept ?workers ?max_restarts
-    ?value_cache () instance ~rng:_ =
-  let st =
-    create_internals ?concept ?workers ?max_restarts ?value_cache instance
-  in
+let make_with_internals ?(name = "ref") ?concept ?max_restarts ?value_cache
+    () instance ~rng:_ =
+  let st = create_internals ?concept ?max_restarts ?value_cache instance in
   let policy =
     Policy.make ~name
       ~on_release:(fun _view ~time:_ job ->
@@ -641,10 +562,10 @@ let make_with_internals ?(name = "ref") ?concept ?workers ?max_restarts
   in
   (policy, st)
 
-let make ?name ?concept ?workers ?max_restarts ?value_cache () instance ~rng =
+let make ?name ?concept ?max_restarts ?value_cache () instance ~rng =
   fst
-    (make_with_internals ?name ?concept ?workers ?max_restarts ?value_cache ()
-       instance ~rng)
+    (make_with_internals ?name ?concept ?max_restarts ?value_cache () instance
+       ~rng)
 
 let reference instance ~rng = make () instance ~rng
 

@@ -21,16 +21,11 @@ open Core
     The driver's own cluster plays the role of the grand coalition's
     schedule, so the utilities REF is fair about are the real ones.
 
-    {b Engine.}  The advancement engine is event-driven and optionally
-    domain-parallel: a global min-heap of (next-event-time, coalition)
-    entries replaces the per-instant scan over all 2^k − 1 simulations, and
-    within one instant the arrival/completion step and each size class of
-    scheduling rounds run as parallel stages over the persistent
-    {!Core.Domain_pool} (coalitions of equal size never read each other's
-    state, and all coalition values are frozen within an instant).  Results
-    are bit-identical for every worker count — parallelism never reorders
-    any float accumulation or selection; see DESIGN.md, "Performance
-    engineering". *)
+    {b Engine.}  The advancement engine is event-driven and sequential: a
+    global min-heap of (next-event-time, coalition) entries replaces the
+    per-instant scan over all 2^k − 1 simulations, and within one instant
+    the arrival/completion step runs first, then the scheduling rounds size
+    class by size class; see DESIGN.md, "Performance engineering". *)
 
 val reference : Policy.maker
 (** The paper's REF under the name ["ref"]. *)
@@ -46,15 +41,9 @@ val banzhaf : Policy.maker
 type concept = Shapley_value | Banzhaf_value
 
 val make :
-  ?name:string -> ?concept:concept -> ?workers:int -> ?max_restarts:int ->
+  ?name:string -> ?concept:concept -> ?max_restarts:int ->
   ?value_cache:bool -> unit -> Policy.maker
-(** [make ?name ?concept ?workers ()] builds a REF maker.  [workers] caps
-    the number of domains the engine may use per stage (1 = strictly
-    sequential, never touches the pool); it defaults to the driver's
-    domain-local default ({!Core.Domain_pool.default_workers}, i.e.
-    [Domain.recommended_domain_count () - 1] unless overridden via
-    [Sim.Driver.run ?workers]).  The schedule produced is bit-identical for
-    every worker count.
+(** [make ?name ?concept ()] builds a REF maker.
 
     [value_cache] (default [true]) enables the cross-instant coalition-value
     cache (DESIGN.md §13): between two events of a sub-coalition simulation
@@ -76,7 +65,7 @@ val make :
 type internals
 
 val make_with_internals :
-  ?name:string -> ?concept:concept -> ?workers:int -> ?max_restarts:int ->
+  ?name:string -> ?concept:concept -> ?max_restarts:int ->
   ?value_cache:bool -> unit -> Instance.t -> rng:Fstats.Rng.t ->
   Policy.t * internals
 

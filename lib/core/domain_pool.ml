@@ -1,336 +1,6 @@
 let recommended_workers () =
   Stdlib.max 1 (Domain.recommended_domain_count () - 1)
 
-(* Domain-local default, installed by Sim.Driver.run ?workers around policy
-   construction. *)
-let default_key : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let default_workers () =
-  match Domain.DLS.get default_key with
-  | Some w -> Stdlib.max 1 w
-  | None -> recommended_workers ()
-
-let with_default_workers w f =
-  let prev = Domain.DLS.get default_key in
-  Domain.DLS.set default_key w;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set default_key prev) f
-
-(* One batch of [n] independent tasks.  Workers (and the submitter) pull
-   indices off [next]; the last task completion broadcasts [work_done].
-   Keeping the per-batch state in its own record makes late-waking workers
-   harmless: a worker that grabs an already-finished batch finds its counter
-   exhausted and goes back to sleep. *)
-type batch = {
-  f : int -> unit;
-  n : int;
-  limit : int;  (* helper domains allowed to join this batch *)
-  next : int Atomic.t;
-  completed : int Atomic.t;
-  mutable err : (int * exn * Printexc.raw_backtrace) option;
-}
-
-type pool = {
-  mutex : Mutex.t;
-  work_ready : Condition.t;
-  work_done : Condition.t;
-  mutable gen : int;  (* bumped once per submitted batch *)
-  mutable current : batch option;
-  submit : Mutex.t;  (* held for the whole lifetime of a batch *)
-  mutable nhelpers : int;  (* helpers actually spawned; 0 => sequential *)
-}
-
-let record_error p batch i e bt =
-  Mutex.lock p.mutex;
-  (match batch.err with
-  | Some (j, _, _) when j <= i -> ()
-  | Some _ | None -> batch.err <- Some (i, e, bt));
-  Mutex.unlock p.mutex
-
-let run_tasks p batch =
-  let rec go () =
-    let i = Atomic.fetch_and_add batch.next 1 in
-    if i < batch.n then begin
-      (try batch.f i
-       with e -> record_error p batch i e (Printexc.get_raw_backtrace ()));
-      if Atomic.fetch_and_add batch.completed 1 + 1 = batch.n then begin
-        Mutex.lock p.mutex;
-        Condition.broadcast p.work_done;
-        Mutex.unlock p.mutex
-      end;
-      go ()
-    end
-  in
-  go ()
-
-(* Queue depth of the in-flight batch: set to the task count at submission,
-   cleared when the batch drains (coarse by design — per-task updates would
-   put an extra atomic on every task). *)
-let m_queue_depth = Obs.Metrics.gauge "pool.queue_depth"
-
-(* Dispatch-shape counters: how many batches went through the pool vs ran
-   inline (sequential cutoff, nested submission, workers <= 1), and how many
-   chunks the chunked API claimed.  The inline/batch ratio is the first
-   thing to read when parallelism is not paying off. *)
-let m_batches = Obs.Metrics.counter "pool.batches"
-let m_inline = Obs.Metrics.counter "pool.inline_batches"
-let m_chunks = Obs.Metrics.counter "pool.chunks"
-
-let worker p idx ~on_ready () =
-  (* Per-worker busy/idle accounting, registered once per helper domain.
-     [Obs.Metrics.add] is a no-op while collection is disabled, but the
-     clock reads around a potentially-long Condition.wait are gated too. *)
-  let m_busy = Obs.Metrics.counter (Printf.sprintf "pool.worker%d.busy_ns" idx) in
-  let m_idle = Obs.Metrics.counter (Printf.sprintf "pool.worker%d.idle_ns" idx) in
-  (* The startup barrier in [get_pool] waits for this instant, so a trace
-     taken on a single-core machine still shows this worker's tid even if
-     it never wins a batch. *)
-  Obs.Trace.instant ~cat:"pool" "pool.worker.start";
-  on_ready ();
-  let rec loop seen_gen =
-    let timed = Obs.Metrics.enabled () in
-    let t0 = if timed then Obs.Clock.now_ns () else 0L in
-    Mutex.lock p.mutex;
-    while p.gen = seen_gen do
-      Condition.wait p.work_ready p.mutex
-    done;
-    let gen = p.gen in
-    let batch = p.current in
-    Mutex.unlock p.mutex;
-    if timed then
-      Obs.Metrics.add m_idle (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0));
-    (* One event per wake-up even when this worker missed the batch, so a
-       trace always shows every helper domain's tid. *)
-    Obs.Trace.instant ~cat:"pool" "pool.wake";
-    (match batch with
-    | Some b when idx < b.limit ->
-        let b0 = if timed then Obs.Clock.now_ns () else 0L in
-        Obs.Trace.span ~cat:"pool" "pool.batch" (fun () -> run_tasks p b);
-        if timed then
-          Obs.Metrics.add m_busy
-            (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) b0))
-    | Some _ | None -> ());
-    loop gen
-  in
-  loop 0
-
-let the_pool = ref None
-let the_pool_mutex = Mutex.create ()
-
-(* [Domain.spawn] can fail at runtime (domain limit reached, thread creation
-   refused by the OS).  The pool treats that as a soft error: it keeps
-   whatever helpers did spawn — possibly none — and every batch still
-   completes on the calling domain.  Indirected so tests can inject a
-   failing spawn. *)
-let spawn_fn = ref (fun f -> ignore (Domain.spawn f))
-let spawn_warned = ref false
-
-let warn_spawn_failure e nspawned =
-  if not !spawn_warned then begin
-    spawn_warned := true;
-    Obs.Log.warn ~component:"pool"
-      ~fields:[ ("helpers", Obs.Json.Int nspawned) ]
-      "Domain.spawn failed (%s); continuing with %d helper domain(s), \
-       parallel batches may run sequentially"
-      (Printexc.to_string e) nspawned
-  end
-
-let get_pool () =
-  Mutex.lock the_pool_mutex;
-  let p =
-    match !the_pool with
-    | Some p -> p
-    | None ->
-        (* At least one helper even on single-core machines, so the
-           cross-domain code path is real wherever it is requested. *)
-        let nhelpers = Stdlib.max 1 (Domain.recommended_domain_count () - 1) in
-        let p =
-          {
-            mutex = Mutex.create ();
-            work_ready = Condition.create ();
-            work_done = Condition.create ();
-            gen = 0;
-            current = None;
-            submit = Mutex.create ();
-            nhelpers;
-          }
-        in
-        let spawned = ref 0 in
-        let ready = ref 0 in
-        let on_ready () =
-          Mutex.lock p.mutex;
-          incr ready;
-          Condition.broadcast p.work_done;
-          Mutex.unlock p.mutex
-        in
-        (try
-           for idx = 0 to nhelpers - 1 do
-             !spawn_fn (worker p idx ~on_ready);
-             incr spawned
-           done
-         with e -> warn_spawn_failure e !spawned);
-        (* Startup barrier: wait until every spawned worker has run its
-           preamble (observability registration).  One-time cost at pool
-           creation; no batch can be in flight yet, so reusing [work_done]
-           is safe. *)
-        Mutex.lock p.mutex;
-        while !ready < !spawned do
-          Condition.wait p.work_done p.mutex
-        done;
-        Mutex.unlock p.mutex;
-        p.nhelpers <- !spawned;
-        the_pool := Some p;
-        p
-  in
-  Mutex.unlock the_pool_mutex;
-  p
-
-let unsafe_reset_for_testing ~spawn =
-  Mutex.lock the_pool_mutex;
-  the_pool := None;
-  spawn_warned := false;
-  (spawn_fn :=
-     match spawn with
-     | Some f -> f
-     | None -> fun f -> ignore (Domain.spawn f));
-  Mutex.unlock the_pool_mutex
-
-let helpers () = (get_pool ()).nhelpers
-
-(* Inline fallback for every dispatch path.  Must honor the same batch
-   exception contract as the pool: attempt every task, then re-raise the
-   lowest-indexed failure (which, running in order, is the first one) —
-   otherwise whether a caller sees the later tasks run would depend on
-   which dispatch path happened to be taken. *)
-let sequential_iter f n =
-  let err = ref None in
-  for i = 0 to n - 1 do
-    try f i
-    with e -> (
-      match !err with
-      | None -> err := Some (e, Printexc.get_raw_backtrace ())
-      | Some _ -> ())
-  done;
-  match !err with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-let parallel_iter ?workers f n =
-  let w = match workers with Some w -> w | None -> default_workers () in
-  if n <= 0 then ()
-  else if w <= 1 || n < 2 then begin
-    Obs.Metrics.incr m_inline;
-    sequential_iter f n
-  end
-  else
-    let p = get_pool () in
-    if p.nhelpers = 0 then
-      (* Helper spawning failed at pool creation: degrade gracefully. *)
-      sequential_iter f n
-    else if not (Mutex.try_lock p.submit) then begin
-      (* A batch is already in flight (nested or concurrent submission):
-         run inline rather than wait — never deadlocks, stays deterministic. *)
-      Obs.Metrics.incr m_inline;
-      sequential_iter f n
-    end
-    else begin
-      Obs.Metrics.incr m_batches;
-      let batch =
-        {
-          f;
-          n;
-          limit = Stdlib.min p.nhelpers (w - 1);
-          next = Atomic.make 0;
-          completed = Atomic.make 0;
-          err = None;
-        }
-      in
-      Obs.Metrics.set m_queue_depth (float_of_int n);
-      Mutex.lock p.mutex;
-      p.current <- Some batch;
-      p.gen <- p.gen + 1;
-      Condition.broadcast p.work_ready;
-      Mutex.unlock p.mutex;
-      Obs.Trace.span ~cat:"pool" "pool.batch" (fun () -> run_tasks p batch);
-      Mutex.lock p.mutex;
-      while Atomic.get batch.completed < batch.n do
-        Condition.wait p.work_done p.mutex
-      done;
-      p.current <- None;
-      Mutex.unlock p.mutex;
-      Mutex.unlock p.submit;
-      Obs.Metrics.set m_queue_depth 0.;
-      match batch.err with
-      | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
-
-(* --- chunked dispatch ---------------------------------------------------- *)
-
-(* Per-task handoff costs one atomic fetch-and-add per task; for the
-   thousands of tiny stages the REF engine submits per run that overhead
-   swamps the work.  The chunked path claims contiguous index ranges
-   instead — one atomic per chunk — and skips the pool entirely below
-   [cutoff] tasks, where waking a helper domain costs more than the stage.
-
-   Exception parity with [parallel_iter]: every task is attempted (a raise
-   does not abort the rest of its chunk), and the exception of the
-   lowest-indexed failing task is re-raised with its backtrace once the
-   whole batch has drained. *)
-
-let default_cutoff = 2
-
-let parallel_chunks ?workers ?chunk ?(cutoff = default_cutoff) f n =
-  let w = match workers with Some w -> w | None -> default_workers () in
-  if n <= 0 then ()
-  else if w <= 1 || n <= Stdlib.max 1 cutoff then begin
-    Obs.Metrics.incr m_inline;
-    sequential_iter f n
-  end
-  else begin
-    (* ~4 chunks per participating domain: coarse enough that the atomic
-       claims are negligible, fine enough to balance uneven task costs. *)
-    let chunk =
-      match chunk with
-      | Some c -> Stdlib.max 1 c
-      | None -> Stdlib.max 1 (n / (4 * w))
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    if nchunks <= 1 then begin
-      Obs.Metrics.incr m_inline;
-      sequential_iter f n
-    end
-    else begin
-      Obs.Metrics.add m_chunks nchunks;
-      (* Lowest-indexed failure wins, like [record_error]; kept outside the
-         pool's own error slot because the chunk runner below never raises. *)
-      let err = Atomic.make None in
-      let note i e bt =
-        let rec cas () =
-          let cur = Atomic.get err in
-          match cur with
-          | Some (j, _, _) when j <= i -> ()
-          | Some _ | None ->
-              if not (Atomic.compare_and_set err cur (Some (i, e, bt))) then
-                cas ()
-        in
-        cas ()
-      in
-      let run_chunk ci =
-        let lo = ci * chunk in
-        let hi = Stdlib.min n (lo + chunk) in
-        for j = lo to hi - 1 do
-          try f j with e -> note j e (Printexc.get_raw_backtrace ())
-        done
-      in
-      parallel_iter ~workers:w run_chunk nchunks;
-      match Atomic.get err with
-      | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
-  end
-
-(* --- one-shot map over independent tasks -------------------------------- *)
-
 type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 
 let map ?workers f tasks =
@@ -361,9 +31,7 @@ let map ?workers f tasks =
         go ()
       in
       let domains =
-        List.init (Stdlib.min workers n) (fun _ ->
-            Domain.spawn (fun () ->
-                Obs.Trace.span ~cat:"pool" "pool.map.worker" worker))
+        List.init (Stdlib.min workers n) (fun _ -> Domain.spawn worker)
       in
       List.iter Domain.join domains;
       Array.to_list results
@@ -371,27 +39,3 @@ let map ?workers f tasks =
            | Done v -> v
            | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
            | Pending -> assert false)
-
-(* Chunked map over an array, on the persistent pool: result slot [i] always
-   holds [f a.(i)] (order preservation is structural — tasks write disjoint
-   indices).  First-failure (in input order) re-raise like [map], via the
-   [parallel_chunks] error slot. *)
-let map_chunked ?workers ?chunk ?cutoff f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n Pending in
-    parallel_chunks ?workers ?chunk ?cutoff
-      (fun i ->
-        results.(i) <-
-          (match f a.(i) with
-          | v -> Done v
-          | exception e -> Failed (e, Printexc.get_raw_backtrace ())))
-      n;
-    Array.map
-      (function
-        | Done v -> v
-        | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Pending -> assert false)
-      results
-  end

@@ -1,98 +1,17 @@
-(** A persistent, process-wide pool of worker domains (OCaml 5 multicore).
+(** Spreading independent tasks over OCaml 5 domains.
 
-    The REF engine dispatches thousands of tiny parallel stages per
-    simulation (one per event instant and size class); spawning domains per
-    stage would dominate the work.  This pool spawns its helper domains once,
-    parks them on a condition variable, and hands each submitted batch out
-    through an atomic task counter.  The submitting domain always
-    participates, so [parallel_iter ~workers:w] uses at most [w] domains in
-    total ([w - 1] helpers plus the caller).
-
-    Batches are serialized: if a batch is already in flight (or the pool has
-    no helpers, or [workers <= 1]), [parallel_iter] degrades to an inline
-    sequential loop on the calling domain.  This makes nested or concurrent
-    use (e.g. REF instances running inside a {!map} experiment sweep)
-    safe by construction — no deadlock, at worst no extra parallelism.
-
-    Tasks must be independent: the pool guarantees nothing about execution
-    order.  All deterministic users (the REF engine) only submit
-    order-independent stages. *)
+    The experiment sweeps (tables, Fig. 10, timelines, churn, federation,
+    report) run many independent simulation instances; {!map} spreads them
+    over freshly spawned domains.  Within one instance everything is
+    sequential. *)
 
 val recommended_workers : unit -> int
 (** [Domain.recommended_domain_count () - 1], at least 1. *)
 
-val default_workers : unit -> int
-(** The domain-local default worker count: the value installed by
-    {!with_default_workers} if any, otherwise {!recommended_workers}. *)
-
-val with_default_workers : int option -> (unit -> 'a) -> 'a
-(** [with_default_workers w f] runs [f] with the domain-local default worker
-    count set to [w] ([None] restores the {!recommended_workers} fallback);
-    the previous default is restored afterwards.  Used by the simulation
-    driver to thread [?workers] to policy constructors without changing the
-    [Policy.maker] signature. *)
-
-val helpers : unit -> int
-(** Number of helper domains in the global pool, creating the pool on first
-    use (at least one helper, so the cross-domain path is exercised even on
-    single-core machines).  If {!Domain.spawn} fails at pool creation —
-    domain limit reached, OS refuses a thread — the pool keeps however many
-    helpers did spawn (possibly zero), warns once on stderr, and
-    {!parallel_iter} degrades to the inline sequential loop; results are
-    unchanged. *)
-
-val parallel_iter : ?workers:int -> (int -> unit) -> int -> unit
-(** [parallel_iter ~workers f n] runs [f 0 .. f (n-1)], using up to
-    [workers] domains in total (default {!default_workers}).  Falls back to
-    an inline sequential loop when [workers <= 1], [n < 2], or another batch
-    is in flight.  If tasks raise, the exception of the lowest-indexed
-    failing task is re-raised (with its backtrace) after the whole batch has
-    been attempted. *)
-
-val parallel_chunks :
-  ?workers:int -> ?chunk:int -> ?cutoff:int -> (int -> unit) -> int -> unit
-(** [parallel_chunks ~workers ~chunk ~cutoff f n] runs [f 0 .. f (n-1)] like
-    {!parallel_iter}, but workers claim {e contiguous chunks} of indices
-    (default chunk size [n / (4·workers)], at least 1) — one atomic
-    operation per chunk instead of one per task, which is what makes
-    dispatching the REF engine's thousands of tiny per-instant stages
-    affordable.  Batches of at most [cutoff] tasks (default
-    {!default_cutoff}) run inline on the calling domain and never touch the
-    pool: below that size the handoff costs more than the stage.
-
-    Exception parity with {!parallel_iter}: every task is attempted even if
-    an earlier task in the same chunk raised, and the exception of the
-    lowest-indexed failing task is re-raised (with its original backtrace)
-    after the whole batch has drained.  Tasks must be independent. *)
-
-val default_cutoff : int
-(** The default sequential cutoff of {!parallel_chunks}. *)
-
 val map : ?workers:int -> ('a -> 'b) -> 'a list -> 'b list
 (** One-shot map for embarrassingly-parallel experiment sweeps: [map
     ~workers f tasks] applies [f] to every task using freshly spawned
-    domains (default worker count {!recommended_workers}; the short-lived
-    domains are independent of the persistent pool, so [f] may itself call
-    {!parallel_iter}).  Results are in input order.  If any task raises, the
-    first exception (in input order) is re-raised — with its original
-    backtrace — after all workers finish.  With [workers = 1] no domain is
-    spawned (plain [List.map]). *)
-
-val map_chunked :
-  ?workers:int -> ?chunk:int -> ?cutoff:int -> ('a -> 'b) -> 'a array ->
-  'b array
-(** Chunked map on the {e persistent} pool (no domain spawning, unlike
-    {!map}): [map_chunked f a] returns [Array.map f a], with the
-    applications dispatched through {!parallel_chunks}.  Order preservation
-    is structural — task [i] writes result slot [i].  If applications raise,
-    the first exception in input order is re-raised with its backtrace after
-    the batch drains. *)
-
-(**/**)
-
-val unsafe_reset_for_testing :
-  spawn:(((unit -> unit) -> unit) option) -> unit
-(** Discard the global pool and install a replacement for [Domain.spawn]
-    ([None] restores the real one).  Helpers of a previously created pool
-    are orphaned parked on a dead condition variable — acceptable only in
-    tests. *)
+    domains (default worker count {!recommended_workers}).  Results are in
+    input order.  If any task raises, the first exception (in input order)
+    is re-raised — with its original backtrace — after all workers finish.
+    With [workers = 1] no domain is spawned (plain [List.map]). *)

@@ -136,7 +136,7 @@ let scaling_one ~k ~n ~jobs_per_org ~horizon ~seed =
   let instance = scaling_instance ~k ~jobs_per_org ~horizon ~seed in
   let run maker =
     let rng = Fstats.Rng.create ~seed:(seed lxor 0x5ca1e) in
-    Sim.Driver.run ~record:false ~workers:1 ~instance ~rng maker
+    Sim.Driver.run ~record:false ~instance ~rng maker
   in
   let rand_res = run (Algorithms.Rand.rand ?value_cache:None ~n) in
   let exact_ms_opt =

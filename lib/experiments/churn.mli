@@ -58,8 +58,9 @@ type row = {
 type study = { config : config; rows : row list }
 
 val run : ?progress:(string -> unit) -> ?workers:int -> config -> study
-(** Instances run in parallel on [workers] domains ({!Pool}); results are
-    deterministic in the config seed and independent of [workers]. *)
+(** Instances run in parallel on [workers] domains
+    ({!Core.Domain_pool.map}); results are deterministic in the config seed
+    and independent of [workers]. *)
 
 val pp : Format.formatter -> study -> unit
 val to_csv : study -> string

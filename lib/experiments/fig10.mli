@@ -24,8 +24,8 @@ type series = { algorithm : string; points : point list }
 type figure = { config : config; series : series list }
 
 val run : ?progress:(string -> unit) -> ?workers:int -> config -> figure
-(** Instances run in parallel on the {!Pool} (results independent of the
-    worker count). *)
+(** Instances run in parallel through {!Core.Domain_pool.map} (results
+    independent of the worker count). *)
 
 val pp : Format.formatter -> figure -> unit
 (** Prints the series as aligned columns (one row per k). *)

@@ -35,9 +35,10 @@ type table = {
 
 val run : ?progress:(string -> unit) -> ?workers:int -> config -> table
 (** Runs every (algorithm × model × instance) simulation; instances run in
-    parallel on [workers] domains ({!Pool}, default: all available cores).
-    Results are deterministic and independent of [workers].  [progress]
-    receives one line per completed model (for long runs). *)
+    parallel on [workers] domains ({!Core.Domain_pool.map}, default: all
+    available cores).  Results are deterministic and independent of
+    [workers].  [progress] receives one line per completed model (for long
+    runs). *)
 
 val pp : Format.formatter -> table -> unit
 (** Renders in the paper's layout: one row per algorithm, avg ± std per

@@ -1,5 +1,4 @@
-(* Domain-local construction flag, mirroring
-   Core.Domain_pool.with_default_workers: the Policy.maker signature cannot
+(* Domain-local construction flag: the Policy.maker signature cannot
    carry a federation argument without breaking every registered algorithm,
    so the driver raises this flag around policy construction instead, and
    REF/RAND read it to decide whether their sub-coalition simulators must

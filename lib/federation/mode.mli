@@ -6,8 +6,8 @@
     stream is in play.  Estimators that maintain internal sub-coalition
     simulations (REF, RAND) read it in their maker to build federated
     simulators — machine sets that follow the live ownership state — and
-    to broadcast endowment events to them.  Scoped and restored like
-    {!Core.Domain_pool.with_default_workers}. *)
+    to broadcast endowment events to them.  Scoped: the previous value is
+    restored when {!with_enabled} returns. *)
 
 val enabled : unit -> bool
 (** [true] inside {!with_enabled}[ true] on the current domain. *)

@@ -7,8 +7,8 @@ type endow_outcome = { e_kills : int; e_wasted : int; e_abandoned : int }
 let no_endow_effect = { e_kills = 0; e_wasted = 0; e_abandoned = 0 }
 
 (* Process-wide observability handles, shared by every kernel instance
-   (the driver loop and each sub-coalition sim); per-domain shards keep the
-   parallel REF stages from contending.  All of it is a no-op until
+   (the driver loop and each sub-coalition sim); per-domain shards keep
+   concurrent instances from contending.  All of it is a no-op until
    `--metrics`/`--trace` (or a test) enables collection. *)
 let m_round_latency = Obs.Metrics.histogram "kernel.round_latency_ns"
 let m_round_starts = Obs.Metrics.histogram "kernel.round_starts"

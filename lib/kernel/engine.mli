@@ -119,9 +119,9 @@ val process_instant : 'job t -> 'job model -> time:int -> unit
 
 val drain_events : 'job t -> 'job model -> time:int -> unit
 (** Phases 1–4 only (completions, faults, endowments, releases) — the split
-    entry
-    point for the staged parallel REF engine, which runs the scheduling
-    rounds of its simulations grouped by coalition size ({!run_round}).
+    entry point for the staged generic REF engine, which runs the
+    scheduling rounds of its simulations grouped by coalition size
+    ({!run_round}).
     Counts the instant in {!Stats}. *)
 
 val run_round : 'job t -> 'job model -> time:int -> unit

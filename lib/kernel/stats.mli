@@ -7,9 +7,8 @@
     popped, fault events applied, kills and wasted parts, releases
     admitted, scheduling rounds and job starts.  The REF engine adds its
     global event-heap pops.  Counters are plain mutable ints: each kernel
-    instance is only ever advanced by one domain at a time (the parallel
-    REF stages partition sims across domains), and cross-sim totals are
-    taken sequentially with {!add}. *)
+    instance is only ever advanced by one domain at a time, and cross-sim
+    totals are taken sequentially with {!add}. *)
 
 type t = {
   mutable instants : int;  (** event instants processed *)

@@ -28,8 +28,8 @@ let shapley_weight ~players:k ~subset:s =
   Rational.make (factorial s * factorial (k - s - 1)) (factorial k)
 
 (* Precomputed at module load for every k <= 20: keeps the lookup free of
-   mutation, so it is safe to call from multiple domains (the parallel
-   experiment pool). *)
+   mutation, so it is safe to call from multiple domains (the experiment
+   sweeps of Core.Domain_pool.map). *)
 let weight_table =
   Array.init 21 (fun k ->
       if k = 0 then [||]

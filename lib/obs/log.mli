@@ -52,7 +52,7 @@ val log :
   ('a, Format.formatter, unit, unit) format4 -> 'a
 (** [log lvl ~component ~fields fmt ...] formats and emits one record if
     [lvl] passes the threshold.  [component] tags the subsystem
-    (["server"], ["shard"], ["wal"], ["pool"], ["chaos"]); [fields] carry
+    (["server"], ["shard"], ["wal"], ["chaos"]); [fields] carry
     the typed payload. *)
 
 val debug :

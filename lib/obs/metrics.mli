@@ -5,7 +5,7 @@
     cheap to update from any domain: every counter and histogram is backed
     by per-domain shards (atomic cells indexed by the calling domain's id)
     that are only merged when a {!snapshot} is taken, so hot-path updates
-    never contend on a single cache line across the worker pool.
+    never contend on a single cache line across domains.
 
     Collection is {b off by default}: {!incr}, {!add}, {!set} and
     {!observe} are no-ops (one atomic load and a branch) until

@@ -7,7 +7,7 @@
 
     Recording is {b off by default} and costs one atomic load and a branch
     per {!span} while disabled, so instrumentation stays permanently in hot
-    paths (kernel phases, REF size stages, domain-pool batches).  While
+    paths (kernel phases, REF size stages, shard workers).  While
     enabled, events go to per-domain ring buffers (no locking, no I/O on
     the hot path); when a ring overflows, the oldest events are dropped —
     spans are recorded at their {e end}, so long-running outer spans

@@ -5,7 +5,6 @@ type t = {
   algorithm : string;
   seed : int;
   max_restarts : int option;
-  workers : int option;
   groups : int;
   federated : bool;
 }
@@ -14,7 +13,7 @@ type t = {
    group [g] owns orgs [g*k/G, (g+1)*k/G).  Machines follow their orgs. *)
 let group_org_lo ~orgs ~groups g = g * orgs / groups
 
-let make ?speeds ?max_restarts ?workers ?(groups = 1) ?(federated = false)
+let make ?speeds ?max_restarts ?(groups = 1) ?(federated = false)
     ~machines ~horizon ~algorithm ~seed () =
   let total = Array.fold_left ( + ) 0 machines in
   let orgs = Array.length machines in
@@ -42,8 +41,6 @@ let make ?speeds ?max_restarts ?workers ?(groups = 1) ?(federated = false)
     Error (Printf.sprintf "unknown algorithm %S" algorithm)
   else if (match max_restarts with Some r -> r < 0 | None -> false) then
     Error "max_restarts must be >= 0"
-  else if (match workers with Some w -> w < 1 | None -> false) then
-    Error "workers must be >= 1"
   else if groups < 1 then Error "groups must be >= 1"
   else if groups > orgs then Error "groups must not exceed the organization count"
   else if empty_group () then Error "every org-group needs at least one machine"
@@ -62,7 +59,6 @@ let make ?speeds ?max_restarts ?workers ?(groups = 1) ?(federated = false)
             algorithm;
             seed;
             max_restarts;
-            workers;
             groups;
             federated;
           }
@@ -97,9 +93,6 @@ let to_json t =
          (match t.max_restarts with
          | None -> []
          | Some r -> [ ("max_restarts", Int r) ]);
-         (match t.workers with
-         | None -> []
-         | Some w -> [ ("workers", Int w) ]);
          (* omitted when 1 so single-group WAL headers stay byte-identical
             with logs written before sharding existed *)
          (if t.groups = 1 then [] else [ ("groups", Int t.groups) ]);
@@ -154,7 +147,8 @@ let of_json j =
   in
   let* seed = int_field j "seed" in
   let* max_restarts = opt_int_field j "max_restarts" in
-  let* workers = opt_int_field j "workers" in
+  (* Unknown members are ignored: headers and snapshots written by older
+     daemons may carry members this version no longer reads. *)
   let* groups =
     match opt_int_field j "groups" with
     | Ok None -> Ok 1
@@ -167,7 +161,7 @@ let of_json j =
     | Some (Obs.Json.Bool b) -> Ok b
     | Some _ -> Error "config field \"federated\" must be a boolean"
   in
-  make ?speeds ?max_restarts ?workers ~groups ~federated ~machines ~horizon
+  make ?speeds ?max_restarts ~groups ~federated ~machines ~horizon
     ~algorithm ~seed ()
 
 let equal a b =

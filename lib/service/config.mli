@@ -6,9 +6,7 @@
     is the remainder — cluster shape, horizon, algorithm, seed, restart
     budget.  The config is written into the WAL header and every snapshot:
     crash recovery replays the logged submissions into a daemon rebuilt
-    from this record, and kernel determinism does the rest (DESIGN.md §12).
-    [workers] deliberately stays out of the durable identity checks'
-    semantics: results are bit-identical for every worker count. *)
+    from this record, and kernel determinism does the rest (DESIGN.md §12). *)
 
 type t = {
   machines : int array;  (** per-organization machine endowment *)
@@ -17,7 +15,6 @@ type t = {
   algorithm : string;  (** registry name, e.g. ["ref"], ["fairshare"] *)
   seed : int;  (** RNG seed handed to the policy maker *)
   max_restarts : int option;  (** kill budget under faults *)
-  workers : int option;  (** worker domains for parallel-capable policies *)
   groups : int;
       (** org-groups: the number of independent scheduling domains the
           organizations are partitioned into ({!Partition}).  Each group
@@ -36,7 +33,6 @@ type t = {
 val make :
   ?speeds:float array ->
   ?max_restarts:int ->
-  ?workers:int ->
   ?groups:int ->
   ?federated:bool ->
   machines:int array ->
@@ -47,7 +43,7 @@ val make :
   (t, string) result
 (** Validates what {!Core.Instance.make} and {!Algorithms.Registry.find}
     would reject later: at least one machine, positive horizon, known
-    algorithm, non-negative restart budget, positive workers, speeds length
+    algorithm, non-negative restart budget, speeds length
     matching the machine count, [1 <= groups <= organizations] with at
     least one machine per org-group. *)
 
@@ -59,11 +55,10 @@ val empty_instance : t -> Core.Instance.t
 
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
-(** Inverse of {!to_json}, re-running the {!make} validation. *)
+(** Inverse of {!to_json}, re-running the {!make} validation.  Unknown
+    members are ignored. *)
 
 val equal : t -> t -> bool
-(** Structural equality of the durable identity — [workers] excluded: a
-    resumed daemon may use a different worker count without breaking
-    bit-identity. *)
+(** Structural equality of the durable identity. *)
 
 val pp : Format.formatter -> t -> unit

@@ -68,8 +68,7 @@ let create config =
   let maker = Algorithms.Registry.find_exn config.Config.algorithm in
   let rng = Fstats.Rng.create ~seed:config.Config.seed in
   let session =
-    Sim.Session.create ~record:true ?workers:config.Config.workers
-      ?max_restarts:config.Config.max_restarts
+    Sim.Session.create ~record:true ?max_restarts:config.Config.max_restarts
       ~federated:config.Config.federated ~instance ~rng maker
   in
   {

@@ -50,7 +50,6 @@ let sub_config t g =
   match
     Config.make ?speeds
       ?max_restarts:t.base.Config.max_restarts
-      ?workers:t.base.Config.workers
       ~federated:t.base.Config.federated ~machines
       ~horizon:t.base.Config.horizon ~algorithm:t.base.Config.algorithm
       ~seed:t.base.Config.seed ()

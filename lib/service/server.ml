@@ -71,8 +71,8 @@ type state = {
          degraded. *)
   part : Partition.t;
   sh : tok Shard.t array;  (* by group *)
-  workers : tok Shard.worker array;
-  worker_of : int array;  (* group -> index into [workers] *)
+  lanes : tok Shard.worker array;  (* one per shard worker domain *)
+  lane_of : int array;  (* group -> index into [lanes] *)
   threaded : bool;
   comp : tok Shard.completion Shard.Mailbox.t;
   cap_g : int;  (* per-group admission bound *)
@@ -164,7 +164,7 @@ let merge_status s (parts : Shard.status_part array) =
     shed = s.shed;
     ack_ewma_ms = fmax (fun p -> p.st_ewma);
     groups = Partition.groups s.part;
-    shards = Array.length s.workers;
+    shards = Array.length s.lanes;
     fsyncs = sum (fun p -> p.st_fsyncs);
   }
 
@@ -261,7 +261,7 @@ let start_gather s ~conn ~slot kind q =
   s.pending_gathers <- s.pending_gathers + 1;
   let tok = Gather_tok g in
   for grp = 0 to groups - 1 do
-    Shard.post_msg s.workers.(s.worker_of.(grp)) ~group:grp
+    Shard.post_msg s.lanes.(s.lane_of.(grp)) ~group:grp
       (Shard.Query { tok; q })
   done
 
@@ -372,7 +372,7 @@ let route_feed s conn slot req ~now =
            in
            Obs.Trace.instant ~cat:"service" ~args "router.route");
         Shard.depth_incr sh;
-        Shard.post_msg s.workers.(s.worker_of.(grp)) ~group:grp
+        Shard.post_msg s.lanes.(s.lane_of.(grp)) ~group:grp
           (Shard.Feed { tok = Feed_tok (conn, slot); req; t_enq = now })
       end
 
@@ -606,7 +606,7 @@ let rec serve_loop s listen_fd =
     let timeout =
       if not (Shard.Mailbox.is_empty s.comp) then 0.0
       else if s.threaded then 1.0
-      else Float.min 1.0 (Shard.wait_timeout s.workers.(0))
+      else Float.min 1.0 (Shard.wait_timeout s.lanes.(0))
     in
     (match Unix.select readers writers [] timeout with
     | rs, ws, _ ->
@@ -614,7 +614,7 @@ let rec serve_loop s listen_fd =
         List.iter
           (fun c -> if (not c.closed) && List.mem c.fd rs then read_conn s c)
           s.conns;
-        if not s.threaded then Shard.pump s.workers.(0);
+        if not s.threaded then Shard.pump s.lanes.(0);
         handle_completions s;
         List.iter
           (fun c ->
@@ -624,7 +624,7 @@ let rec serve_loop s listen_fd =
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
         (* An idle tick still pumps the inline worker: overload recovery
            is observed calm, not absence of traffic. *)
-        if not s.threaded then Shard.pump s.workers.(0);
+        if not s.threaded then Shard.pump s.lanes.(0);
         handle_completions s);
     serve_loop s listen_fd
   end
@@ -736,12 +736,12 @@ let run ?(ready = fun () -> ()) cfg =
   let threaded = w_count > 1 in
   let comp = Shard.Mailbox.create () in
   let cap_g = max 1 (cfg.queue_cap / groups) in
-  let worker_of = Array.init groups (fun g -> g mod w_count) in
-  let workers =
+  let lane_of = Array.init groups (fun g -> g mod w_count) in
+  let lanes =
     Array.init w_count (fun w ->
         let shards =
           List.filter_map
-            (fun g -> if worker_of.(g) = w then Some (g, sh.(g)) else None)
+            (fun g -> if lane_of.(g) = w then Some (g, sh.(g)) else None)
             (List.init groups Fun.id)
         in
         Shard.make_worker ~id:w ~shards ~drain_batch:cfg.drain_batch ~cap:cap_g
@@ -771,8 +771,8 @@ let run ?(ready = fun () -> ()) cfg =
       base;
       part;
       sh;
-      workers;
-      worker_of;
+      lanes;
+      lane_of;
       threaded;
       comp;
       cap_g;
@@ -784,12 +784,12 @@ let run ?(ready = fun () -> ()) cfg =
       pending_gathers = 0;
     }
   in
-  if threaded then Array.iter Shard.start_worker workers;
+  if threaded then Array.iter Shard.start_worker lanes;
   ready ();
   serve_loop s listen_fd;
   flush_remaining s;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   Addr.cleanup cfg.addr;
-  Array.iter Shard.stop_worker workers;
+  Array.iter Shard.stop_worker lanes;
   Shard.Mailbox.close comp;
   Ok ()

@@ -19,14 +19,14 @@ type result = {
 
 and snapshot = { at : int; psi_scaled : int array; parts_at : int array }
 
-let run ?(record = true) ?(checkpoints = []) ?workers ?(faults = [])
+let run ?(record = true) ?(checkpoints = []) ?(faults = [])
     ?(federation = []) ?max_restarts ~instance ~rng
     (maker : Algorithms.Policy.maker) =
   Obs.Trace.span ~cat:"sim" "driver.run" @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
   let horizon = instance.Instance.horizon in
   let session =
-    Session.create ~record ~checkpoints ?workers ~faults
+    Session.create ~record ~checkpoints ~faults
       ~endowments:federation ?max_restarts ~instance ~rng maker
   in
   (* Checkpoint snapshots: the kernel fires [on_checkpoint ~at:c] once every

@@ -36,7 +36,7 @@ type result = {
           sub-coalition simulations and event-heap pops *)
   metrics : Obs.Metrics.snapshot;
       (** process-wide {!Obs.Metrics} snapshot taken as the run ends: round
-          latencies, job-wait distribution, heap ops, pool busy/idle times.
+          latencies, job-wait distribution, heap ops, value-cache counters.
           Empty unless metrics collection was enabled
           ({!Obs.Metrics.set_enabled}); process-wide, so values aggregate
           over every run since the last {!Obs.Metrics.reset}. *)
@@ -51,7 +51,6 @@ and snapshot = {
 val run :
   ?record:bool ->
   ?checkpoints:int list ->
-  ?workers:int ->
   ?faults:Faults.Event.timed list ->
   ?federation:Federation.Event.timed list ->
   ?max_restarts:int ->
@@ -65,13 +64,7 @@ val run :
     empty).  [checkpoints] asks for utility snapshots at the given instants
     (clamped to the horizon; Definition 3.2 makes fairness a property of
     {e every} time instant, and the timeline experiments track how
-    unfairness accumulates).  [workers] sets the domain-local default
-    worker count while the policy is constructed
-    ({!Core.Domain_pool.with_default_workers}): parallel-capable policies
-    such as {!Algorithms.Reference} pick it up unless given an explicit
-    [?workers] of their own.  [workers:1] forces strictly sequential
-    execution; the default is [Domain.recommended_domain_count () - 1].
-    Results are bit-identical for every worker count.
+    unfairness accumulates).
 
     [faults] injects machine failures and recoveries (see {!Faults}): at a
     [Fail] instant the machine goes down and its running job — jobs are

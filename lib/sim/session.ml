@@ -34,7 +34,7 @@ let machine_owners instance =
     instance.Instance.machines;
   owners
 
-let create ?(record = true) ?(checkpoints = []) ?workers ?(faults = [])
+let create ?(record = true) ?(checkpoints = []) ?(faults = [])
     ?(endowments = []) ?federated ?max_restarts ~instance ~rng
     (maker : Algorithms.Policy.maker) =
   let k = Instance.organizations instance in
@@ -58,13 +58,7 @@ let create ?(record = true) ?(checkpoints = []) ?workers ?(faults = [])
   let trackers = Array.init k (fun _ -> Utility.Tracker.create ()) in
   let view = { Algorithms.Policy.instance; cluster; trackers } in
   let policy =
-    let construct () =
-      match workers with
-      | None -> maker instance ~rng
-      | Some w ->
-          Core.Domain_pool.with_default_workers (Some w) (fun () ->
-              maker instance ~rng)
-    in
+    let construct () = maker instance ~rng in
     if federated then Federation.Mode.with_enabled true construct
     else construct ()
   in

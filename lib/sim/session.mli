@@ -26,7 +26,6 @@ type t
 val create :
   ?record:bool ->
   ?checkpoints:int list ->
-  ?workers:int ->
   ?faults:Faults.Event.timed list ->
   ?endowments:Federation.Event.timed list ->
   ?federated:bool ->
@@ -38,8 +37,7 @@ val create :
 (** Build the cluster, trackers, policy, and kernel over
     [instance.jobs] (possibly empty — the daemon passes a job-less
     instance and feeds everything dynamically).  Parameters are exactly
-    those of {!Driver.run}, with the same defaults and the same
-    bit-identity across [workers] counts.
+    those of {!Driver.run}, with the same defaults.
 
     [endowments] is the static endowment trace (validated against the
     instance's endowment); [federated] forces federated policy

@@ -8,7 +8,7 @@
 
    - the cross-instant coalition-value cache is a pure optimization: REF
      and RAND schedules are BIT-identical with the cache on and off, for
-     random instances, sequential and parallel alike (the cached value is
+     random instances (the cached value is
      an exact integer polynomial — Tracker.coeffs_scaled — so this is an
      identity, not a tolerance). *)
 
@@ -43,7 +43,7 @@ let test_bound_across_seeds () =
 
 (* --- cache on/off bit-identity ----------------------------------------- *)
 
-(* Random small instances, same shape as test_parallel_ref. *)
+(* Random small instances. *)
 let instance_gen =
   let gen =
     QCheck.Gen.(
@@ -81,26 +81,24 @@ let identical a b =
   && Schedule.placements a.Sim.Driver.schedule
      = Schedule.placements b.Sim.Driver.schedule
 
-let run_ref ~workers ~value_cache instance =
-  Sim.Driver.run ~workers ~instance
+let run_ref ~value_cache instance =
+  Sim.Driver.run ~instance
     ~rng:(Fstats.Rng.create ~seed:3)
     (Algorithms.Reference.make ~value_cache ())
 
 let run_rand ~value_cache instance =
-  Sim.Driver.run ~workers:1 ~instance
+  Sim.Driver.run ~instance
     ~rng:(Fstats.Rng.create ~seed:3)
     (Algorithms.Rand.rand ~value_cache ~n:15)
 
 let qcheck_ref_cache_identity =
   let arb, make = instance_gen in
   QCheck.Test.make ~count:40
-    ~name:"REF value-cache on/off bit-identical (seq + par)" arb (fun raw ->
+    ~name:"REF value-cache on/off bit-identical" arb (fun raw ->
       let instance = make raw in
-      let on = run_ref ~workers:1 ~value_cache:true instance in
-      let off = run_ref ~workers:1 ~value_cache:false instance in
-      let par_on = run_ref ~workers:4 ~value_cache:true instance in
-      let par_off = run_ref ~workers:4 ~value_cache:false instance in
-      identical on off && identical on par_on && identical on par_off)
+      identical
+        (run_ref ~value_cache:true instance)
+        (run_ref ~value_cache:false instance))
 
 let qcheck_rand_cache_identity =
   let arb, make = instance_gen in

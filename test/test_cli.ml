@@ -58,7 +58,12 @@ let test_unreadable_trace () =
 let test_invalid_flag_values () =
   check_error "churn --mtbf=-5" ~expect:"--mtbf must be positive";
   check_error "churn --mttr=0" ~expect:"--mttr must be positive";
-  check_error "table --workers=0" ~expect:"--workers";
+  check_error "churn --workers=0"
+    ~expect:"--workers must be a positive integer";
+  (* Within one instance everything is sequential: only the sweeps that
+     spread instances across domains take --workers. *)
+  check_error "simulate --workers 2" ~expect:"unknown option";
+  check_error "serve --workers 2" ~expect:"unknown option";
   check_error "simulate --horizon=oops" ~expect:"horizon"
 
 let test_malformed_fault_specs () =
@@ -178,8 +183,8 @@ let test_obs_happy_path () =
       let code, lines =
         run_cmd
           (Printf.sprintf
-             "simulate --orgs 3 --machines 6 --horizon 2000 --workers 2 \
-              --seed 5 --trace %s --metrics"
+             "simulate --orgs 3 --machines 6 --horizon 2000 --seed 5 \
+              --trace %s --metrics"
              trace)
       in
       let all = String.concat "\n" lines in

@@ -332,102 +332,29 @@ let test_cluster_model_based () =
 
 (* --- Domain pool ------------------------------------------------------- *)
 
-let test_pool_spawn_failure_fallback () =
-  (* If Domain.spawn fails at pool creation, the pool must keep working
-     with zero helpers: every batch runs sequentially on the caller and
-     produces the same results. *)
-  Domain_pool.unsafe_reset_for_testing
-    ~spawn:(Some (fun _ -> failwith "domain limit reached"));
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.unsafe_reset_for_testing ~spawn:None)
-    (fun () ->
-      Alcotest.(check int) "no helpers spawned" 0 (Domain_pool.helpers ());
-      let n = 200 in
-      let acc = Array.make n 0 in
-      Domain_pool.parallel_iter ~workers:8 (fun i -> acc.(i) <- i + 1) n;
-      Alcotest.(check int) "all tasks ran on the caller"
-        (n * (n + 1) / 2)
-        (Array.fold_left ( + ) 0 acc))
-
 exception Task_failed of int
 
-(* parallel_chunks must be indistinguishable from a sequential loop in
-   results: every index run exactly once, writes landing in their own slots,
-   for any (n, workers, chunk, cutoff) — including the degenerate inline
-   cases (workers=1, n <= cutoff, one chunk). *)
-let qcheck_parallel_chunks_coverage =
-  QCheck.Test.make ~count:60 ~name:"parallel_chunks covers each index once"
-    QCheck.(
-      quad (int_bound 200) (int_range 1 8) (option (int_range 1 50))
-        (int_bound 16))
-    (fun (n, workers, chunk, cutoff) ->
-      let hits = Array.make (Stdlib.max 1 n) 0 in
-      Domain_pool.parallel_chunks ~workers ?chunk ~cutoff
-        (fun i -> hits.(i) <- hits.(i) + 1)
-        n;
-      Array.for_all (( = ) 1) (Array.sub hits 0 n)
-      || QCheck.Test.fail_reportf "some index ran %d times"
-           (Array.fold_left Stdlib.max 0 hits))
+let test_pool_map_order () =
+  let tasks = List.init 50 Fun.id in
+  let f x = (x * x) + 1 in
+  List.iter
+    (fun workers ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "workers=%d = List.map" workers)
+        (List.map f tasks)
+        (Domain_pool.map ~workers f tasks))
+    [ 1; 2; 4 ];
+  Alcotest.(check (list int)) "empty" [] (Domain_pool.map ~workers:3 f [])
 
-let qcheck_map_chunked_order =
-  QCheck.Test.make ~count:60 ~name:"map_chunked = Array.map (order preserved)"
-    QCheck.(pair (array_of_size Gen.(int_bound 150) small_int) (int_range 1 8))
-    (fun (a, workers) ->
-      Domain_pool.map_chunked ~workers ~chunk:3 (fun x -> (2 * x) + 1) a
-      = Array.map (fun x -> (2 * x) + 1) a)
-
-(* Exception parity with parallel_iter: same batch of failing tasks ⇒ the
-   same (lowest-index) exception out of either dispatcher, and every task
-   attempted regardless of earlier failures in its chunk. *)
-let qcheck_parallel_chunks_exception_parity =
-  QCheck.Test.make ~count:40
-    ~name:"parallel_chunks exception parity with parallel_iter"
-    QCheck.(
-      triple (int_range 1 100)
-        (list_of_size Gen.(int_bound 5) (int_bound 99))
-        (option (int_range 1 30)))
-    (fun (n, fails, chunk) ->
-      let fails = List.filter (fun i -> i < n) fails in
-      let run dispatch =
-        let attempted = Array.make n false in
-        let raised =
-          try
-            dispatch
-              (fun i ->
-                attempted.(i) <- true;
-                if List.mem i fails then raise (Task_failed i))
-              n;
-            None
-          with Task_failed i -> Some i
-        in
-        (raised, Array.for_all Fun.id attempted)
-      in
-      let expected =
-        if fails = [] then None
-        else Some (List.fold_left Stdlib.min max_int fails)
-      in
-      let iter_raised, iter_all = run (Domain_pool.parallel_iter ~workers:4) in
-      let chunk_raised, chunk_all =
-        run (Domain_pool.parallel_chunks ~workers:4 ?chunk ~cutoff:2)
-      in
-      iter_raised = expected && chunk_raised = expected && iter_all
-      && chunk_all)
-
-let test_map_chunked_exception () =
-  Alcotest.check_raises "first failing index in input order"
-    (Task_failed 3)
-    (fun () ->
-      ignore
-        (Domain_pool.map_chunked ~workers:4 ~chunk:2
-           (fun i -> if i >= 3 then raise (Task_failed i) else i)
-           (Array.init 40 Fun.id)));
-  (* Backtrace-preserving re-raise still yields the original exception when
-     everything runs inline (cutoff). *)
-  Alcotest.check_raises "inline path too" (Task_failed 0) (fun () ->
-      ignore
-        (Domain_pool.map_chunked ~workers:4 ~cutoff:10
-           (fun _ -> raise (Task_failed 0))
-           (Array.init 4 Fun.id)))
+let test_pool_map_failure () =
+  (* A raising task aborts the map: the first failure (in input order) is
+     re-raised on the calling domain, with its backtrace re-attached. *)
+  let boom x = if x mod 3 = 0 then raise (Task_failed x) else x in
+  Alcotest.check_raises "failure crosses domains" (Task_failed 3) (fun () ->
+      ignore (Domain_pool.map ~workers:2 boom [ 1; 2; 3; 4; 5; 6 ]));
+  (* workers=1 takes the no-domain path; the exception must still escape. *)
+  Alcotest.check_raises "workers=1 fallback" (Task_failed 3) (fun () ->
+      ignore (Domain_pool.map ~workers:1 boom [ 1; 2; 3 ]))
 
 let () =
   Alcotest.run "core"
@@ -464,12 +391,8 @@ let () =
         ] );
       ( "domain-pool",
         [
-          Alcotest.test_case "spawn failure falls back" `Quick
-            test_pool_spawn_failure_fallback;
-          QCheck_alcotest.to_alcotest qcheck_parallel_chunks_coverage;
-          QCheck_alcotest.to_alcotest qcheck_map_chunked_order;
-          QCheck_alcotest.to_alcotest qcheck_parallel_chunks_exception_parity;
-          Alcotest.test_case "map_chunked exception order" `Quick
-            test_map_chunked_exception;
+          Alcotest.test_case "map keeps input order" `Quick test_pool_map_order;
+          Alcotest.test_case "map propagates failures" `Quick
+            test_pool_map_failure;
         ] );
     ]

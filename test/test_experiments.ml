@@ -183,63 +183,6 @@ let test_manipulation_ablation () =
         flow.Experiments.Ablations.splitting_pays
   | _ -> Alcotest.fail "expected two schedulers"
 
-exception Task_failed of int
-
-let test_pool_map_order () =
-  let squares = Core.Domain_pool.map ~workers:2 (fun x -> x * x) [ 1; 2; 3; 4; 5 ] in
-  Alcotest.(check (list int)) "input order" [ 1; 4; 9; 16; 25 ] squares
-
-let test_pool_map_failure () =
-  (* A raising task aborts the map: the first failure (in input order) is
-     re-raised on the calling domain, with its backtrace re-attached. *)
-  let boom x = if x mod 3 = 0 then raise (Task_failed x) else x in
-  Alcotest.check_raises "failure crosses domains" (Task_failed 3) (fun () ->
-      ignore (Core.Domain_pool.map ~workers:2 boom [ 1; 2; 3; 4; 5; 6 ]));
-  (* workers=1 takes the no-domain path; the exception must still escape. *)
-  Alcotest.check_raises "workers=1 fallback" (Task_failed 3) (fun () ->
-      ignore (Core.Domain_pool.map ~workers:1 boom [ 1; 2; 3 ]))
-
-let test_parallel_iter () =
-  (* Per-index slots: no two tasks share a cell, so the result is
-     deterministic however the pool interleaves them. *)
-  let check workers =
-    let n = 64 in
-    let out = Array.make n 0 in
-    Core.Domain_pool.parallel_iter ~workers (fun i -> out.(i) <- (i * i) + 1) n;
-    Alcotest.(check (array int))
-      (Printf.sprintf "workers=%d" workers)
-      (Array.init n (fun i -> (i * i) + 1))
-      out
-  in
-  check 1;
-  check 2;
-  check 4;
-  (* The lowest failing index wins, also across domains. *)
-  Alcotest.check_raises "exception propagates" (Task_failed 5) (fun () ->
-      Core.Domain_pool.parallel_iter ~workers:2
-        (fun i -> if i >= 5 then raise (Task_failed i))
-        32);
-  Alcotest.check_raises "sequential fallback raises too" (Task_failed 5)
-    (fun () ->
-      Core.Domain_pool.parallel_iter ~workers:1
-        (fun i -> if i >= 5 then raise (Task_failed i))
-        32)
-
-let test_parallel_iter_nested () =
-  (* A task that itself calls parallel_iter must not deadlock: the inner
-     call finds the pool busy and runs inline. *)
-  let out = Array.make 16 0 in
-  Core.Domain_pool.parallel_iter ~workers:2
-    (fun i ->
-      Core.Domain_pool.parallel_iter ~workers:2
-        (fun j -> if j = i mod 4 then out.(i) <- i + j)
-        4)
-    16;
-  Alcotest.(check (array int))
-    "nested result"
-    (Array.init 16 (fun i -> i + (i mod 4)))
-    out
-
 let () =
   Alcotest.run "experiments"
     [
@@ -254,15 +197,6 @@ let () =
           Alcotest.test_case "tables" `Quick test_tables_pipeline;
           Alcotest.test_case "fig10" `Quick test_fig10_pipeline;
           Alcotest.test_case "ablations" `Quick test_ablations_pipeline;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "map keeps input order" `Quick test_pool_map_order;
-          Alcotest.test_case "map propagates failures" `Quick
-            test_pool_map_failure;
-          Alcotest.test_case "parallel_iter" `Quick test_parallel_iter;
-          Alcotest.test_case "parallel_iter nested" `Quick
-            test_parallel_iter_nested;
         ] );
       ( "hardness",
         [ Alcotest.test_case "theorem 5.1 gadget" `Quick test_hardness_gadget ]

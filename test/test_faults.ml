@@ -1,7 +1,6 @@
 (* Tests for the fault-injection subsystem: the failure models, the
    kill/resubmit semantics of the cluster and driver, and the differential
-   guards (empty trace is bit-identical, parallel REF matches sequential
-   REF under churn). *)
+   guards (empty trace is bit-identical). *)
 
 open Core
 
@@ -205,30 +204,6 @@ let test_empty_trace_bit_identical () =
       Alcotest.(check int) (name ^ ": no kills") 0 b.Sim.Driver.killed)
     [ "fifo"; "roundrobin"; "fairshare"; "directcontr"; "rand-15"; "ref" ]
 
-let churn_trace ~machines ~horizon seed =
-  Faults.Model.random
-    ~rng:(Fstats.Rng.create ~seed)
-    ~machines ~horizon
-    ~mtbf:(Faults.Model.Exponential { mean = 400. })
-    ~mttr:(Faults.Model.Exponential { mean = 40. })
-    ()
-
-let test_parallel_ref_under_faults () =
-  let instance = small_instance 23 in
-  let faults =
-    churn_trace ~machines:(Instance.total_machines instance) ~horizon:3_000 17
-  in
-  let run_ref workers =
-    Sim.Driver.run ~workers ~faults ~instance
-      ~rng:(Fstats.Rng.create ~seed:5)
-      (Algorithms.Registry.find_exn "ref")
-  in
-  let seq = run_ref 1 and par = run_ref 2 in
-  Alcotest.(check (array int)) "parallel REF identical under churn"
-    seq.Sim.Driver.utilities_scaled par.Sim.Driver.utilities_scaled;
-  Alcotest.(check int) "same kills" seq.Sim.Driver.killed
-    par.Sim.Driver.killed
-
 (* --- Properties --------------------------------------------------------- *)
 
 (* Random small instance + random fault trace. *)
@@ -405,8 +380,6 @@ let () =
         [
           Alcotest.test_case "empty trace bit-identical" `Quick
             test_empty_trace_bit_identical;
-          Alcotest.test_case "parallel REF under faults" `Quick
-            test_parallel_ref_under_faults;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest churn_props);
     ]

@@ -9,9 +9,9 @@ open Core
 module FE = Federation.Event
 module FM = Federation.Model
 
-let run ?(record = true) ?(federation = []) ?(faults = []) ?workers
-    ?max_restarts ~instance ~seed name =
-  Sim.Driver.run ~record ~federation ~faults ?workers ?max_restarts ~instance
+let run ?(record = true) ?(federation = []) ?(faults = []) ?max_restarts
+    ~instance ~seed name =
+  Sim.Driver.run ~record ~federation ~faults ?max_restarts ~instance
     ~rng:(Fstats.Rng.create ~seed)
     (Algorithms.Registry.find_exn name)
 
@@ -285,13 +285,6 @@ let small_instance seed =
        Workload.Traces.lpc_egee)
     ~seed
 
-let churn_trace instance seed =
-  FM.random
-    ~rng:(Fstats.Rng.create ~seed)
-    ~machines_per_org:instance.Instance.machines ~horizon:3_000
-    ~spec:{ FM.default_spec with FM.period = 300 }
-    ()
-
 let test_empty_stream_bit_identical () =
   let instance = small_instance 11 in
   List.iter
@@ -330,15 +323,6 @@ let test_federated_construction_bit_identical () =
         (name ^ ": federated construction identical")
         a.Sim.Driver.utilities_scaled b.Sim.Driver.utilities_scaled)
     [ "rand-15"; "ref" ]
-
-let test_parallel_ref_under_endow_churn () =
-  let instance = small_instance 23 in
-  let federation = churn_trace instance 17 in
-  let run_ref workers = run ~instance ~federation ~workers ~seed:5 "ref" in
-  let seq = run_ref 1 and par = run_ref 2 in
-  Alcotest.(check (array int)) "parallel REF identical under endow churn"
-    seq.Sim.Driver.utilities_scaled par.Sim.Driver.utilities_scaled;
-  Alcotest.(check int) "same kills" seq.Sim.Driver.killed par.Sim.Driver.killed
 
 (* --- Properties ---------------------------------------------------------- *)
 
@@ -608,8 +592,6 @@ let () =
             test_empty_stream_bit_identical;
           Alcotest.test_case "federated construction bit-identical" `Quick
             test_federated_construction_bit_identical;
-          Alcotest.test_case "parallel REF under endow churn" `Quick
-            test_parallel_ref_under_endow_churn;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest churn_props);
     ]

@@ -76,24 +76,6 @@ let test_timelines () =
 
 (* --- Pool ---------------------------------------------------------------------- *)
 
-let test_pool_matches_sequential () =
-  let tasks = List.init 50 Fun.id in
-  let f x = (x * x) + 1 in
-  Alcotest.(check (list int))
-    "2 workers = sequential" (List.map f tasks)
-    (Core.Domain_pool.map ~workers:2 f tasks);
-  Alcotest.(check (list int))
-    "4 workers = sequential" (List.map f tasks)
-    (Core.Domain_pool.map ~workers:4 f tasks);
-  Alcotest.(check (list int)) "empty" [] (Core.Domain_pool.map ~workers:3 f [])
-
-let test_pool_propagates_exceptions () =
-  Alcotest.check_raises "exception propagates" (Failure "boom") (fun () ->
-      ignore
-        (Core.Domain_pool.map ~workers:2
-           (fun x -> if x = 3 then failwith "boom" else x)
-           [ 1; 2; 3; 4 ]))
-
 let test_pool_experiments_deterministic () =
   let config =
     {
@@ -266,10 +248,6 @@ let () =
       ("timelines", [ Alcotest.test_case "series" `Quick test_timelines ]);
       ( "pool",
         [
-          Alcotest.test_case "matches sequential" `Quick
-            test_pool_matches_sequential;
-          Alcotest.test_case "propagates exceptions" `Quick
-            test_pool_propagates_exceptions;
           Alcotest.test_case "experiments deterministic across workers" `Quick
             test_pool_experiments_deterministic;
         ] );

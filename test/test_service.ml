@@ -6,11 +6,11 @@ let ( let@ ) f x = f x
 
 (* --- Config ----------------------------------------------------------------- *)
 
-let mk_config ?speeds ?max_restarts ?workers ?groups
+let mk_config ?speeds ?max_restarts ?groups
     ?(machines = [| 2; 1; 1 |]) ?(horizon = 60) ?(algorithm = "fifo")
     ?(seed = 7) () =
   match
-    Service.Config.make ?speeds ?max_restarts ?workers ?groups ~machines
+    Service.Config.make ?speeds ?max_restarts ?groups ~machines
       ~horizon ~algorithm ~seed ()
   with
   | Ok c -> c
@@ -24,8 +24,22 @@ let test_config_roundtrip () =
     | Error msg -> Alcotest.failf "of_json: %s" msg
   in
   check (mk_config ());
-  check (mk_config ~algorithm:"ref" ~max_restarts:3 ~workers:2 ());
-  check (mk_config ~machines:[| 1; 1 |] ~speeds:[| 2.0; 0.5 |] ())
+  check (mk_config ~algorithm:"ref" ~max_restarts:3 ());
+  check (mk_config ~machines:[| 1; 1 |] ~speeds:[| 2.0; 0.5 |] ());
+  (* WAL headers and snapshots written by older daemons may carry a
+     "workers" member; it must be ignored, not rejected. *)
+  let c = mk_config ~algorithm:"ref" ~max_restarts:3 () in
+  match Service.Config.to_json c with
+  | Obs.Json.Obj members -> (
+      match
+        Service.Config.of_json
+          (Obs.Json.Obj (members @ [ ("workers", Obs.Json.Int 2) ]))
+      with
+      | Ok c' ->
+          Alcotest.(check bool) "old \"workers\" member ignored" true
+            (Service.Config.equal c c')
+      | Error msg -> Alcotest.failf "of_json with workers: %s" msg)
+  | _ -> Alcotest.fail "config JSON is not an object"
 
 let test_config_validation () =
   let reject ?speeds ?max_restarts ?(machines = [| 1 |]) ?(horizon = 10)

@@ -335,6 +335,7 @@ let test_cluster_model_based () =
 exception Task_failed of int
 
 let test_pool_map_order () =
+  (* Results come back in input order whatever domain ran each task. *)
   let tasks = List.init 50 Fun.id in
   let f x = (x * x) + 1 in
   List.iter
@@ -343,7 +344,15 @@ let test_pool_map_order () =
         (Printf.sprintf "workers=%d = List.map" workers)
         (List.map f tasks)
         (Domain_pool.map ~workers f tasks))
-    [ 1; 2; 4 ];
+    [ 2; 4 ]
+
+let test_pool_matches_sequential () =
+  (* workers=1 takes the no-domain path; the empty list spawns nothing. *)
+  let tasks = List.init 50 Fun.id in
+  let f x = (x * x) + 1 in
+  Alcotest.(check (list int))
+    "workers=1 = List.map" (List.map f tasks)
+    (Domain_pool.map ~workers:1 f tasks);
   Alcotest.(check (list int)) "empty" [] (Domain_pool.map ~workers:3 f [])
 
 let test_pool_map_failure () =
@@ -351,8 +360,11 @@ let test_pool_map_failure () =
      re-raised on the calling domain, with its backtrace re-attached. *)
   let boom x = if x mod 3 = 0 then raise (Task_failed x) else x in
   Alcotest.check_raises "failure crosses domains" (Task_failed 3) (fun () ->
-      ignore (Domain_pool.map ~workers:2 boom [ 1; 2; 3; 4; 5; 6 ]));
-  (* workers=1 takes the no-domain path; the exception must still escape. *)
+      ignore (Domain_pool.map ~workers:2 boom [ 1; 2; 3; 4; 5; 6 ]))
+
+let test_pool_propagates_exceptions () =
+  (* The no-domain path must let the exception escape as well. *)
+  let boom x = if x mod 3 = 0 then raise (Task_failed x) else x in
   Alcotest.check_raises "workers=1 fallback" (Task_failed 3) (fun () ->
       ignore (Domain_pool.map ~workers:1 boom [ 1; 2; 3 ]))
 
@@ -389,10 +401,14 @@ let () =
           Alcotest.test_case "model-based random ops" `Quick
             test_cluster_model_based;
         ] );
-      ( "domain-pool",
+      ( "pool",
         [
           Alcotest.test_case "map keeps input order" `Quick test_pool_map_order;
+          Alcotest.test_case "matches sequential" `Quick
+            test_pool_matches_sequential;
           Alcotest.test_case "map propagates failures" `Quick
             test_pool_map_failure;
+          Alcotest.test_case "propagates exceptions" `Quick
+            test_pool_propagates_exceptions;
         ] );
     ]

@@ -186,23 +186,28 @@ let with_tentative_start schedule (job : Job.t) ~at =
     (Schedule.placement ~job ~start:at ~machine:0 ()
      :: Schedule.placements schedule)
 
+(* A lone waiting organization wins without any contributions or
+   distances: the argmin over one candidate is that candidate. *)
 let select_in st ~schedule_of ~mask ~waiting ~front ~at =
-  let phi = contributions st ~schedule_of ~mask ~at in
-  let score u =
-    match front u with
-    | None -> infinity
-    | Some job ->
-        let tentative = with_tentative_start (schedule_of mask) job ~at in
-        distance st ~schedule_of ~mask ~phi ~at ~org:u
-          ~front_start_added:tentative
-  in
-  match List.map (fun u -> (score u, u)) waiting with
-  | [] -> invalid_arg "ref-generic: nothing waiting"
-  | first :: rest ->
-      snd
-        (List.fold_left
-           (fun (bs, bu) (s, u) -> if s < bs then (s, u) else (bs, bu))
-           first rest)
+  match waiting with
+  | [ u ] -> u
+  | _ -> (
+      let phi = contributions st ~schedule_of ~mask ~at in
+      let score u =
+        match front u with
+        | None -> infinity
+        | Some job ->
+            let tentative = with_tentative_start (schedule_of mask) job ~at in
+            distance st ~schedule_of ~mask ~phi ~at ~org:u
+              ~front_start_added:tentative
+      in
+      match List.map (fun u -> (score u, u)) waiting with
+      | [] -> invalid_arg "ref-generic: nothing waiting"
+      | first :: rest ->
+          snd
+            (List.fold_left
+               (fun (bs, bu) (s, u) -> if s < bs then (s, u) else (bs, bu))
+               first rest))
 
 (* The per-sim scheduling round reads every smaller coalition's schedule
    through the shared [state], so it can only be built once the state

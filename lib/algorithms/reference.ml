@@ -6,7 +6,7 @@ type concept = Shapley_value | Banzhaf_value
 
 (* The REF advancement engine.
 
-   Three optimizations over the straightforward Fig. 1 transcription (see
+   Four optimizations over the straightforward Fig. 1 transcription (see
    DESIGN.md, "Performance engineering"):
 
    - a global event heap of (next-event-time, mask) entries replaces the
@@ -23,11 +23,17 @@ type concept = Shapley_value | Banzhaf_value
      coalition only reads the (frozen-within-the-instant) values of
      strictly smaller coalitions.
 
-   - the inner 3^k Shapley sum is allocation-free: weight tables are
-     hoisted into per-size float arrays at construction, popcounts come
-     from a precomputed table, and the subset walk runs over a preflattened
-     int array (for k <= 12; an inline submask walk beyond) instead of
-     closure-based iterators. *)
+   - the inner Shapley sum is allocation-free: weight tables are hoisted
+     into per-size float arrays at construction, popcounts come from a
+     precomputed table, and the subset walks are inline submask loops
+     instead of closure-based iterators.
+
+   - a sub-coalition's argmax only computes what it compares: with one
+     waiting member it returns that member without any φ, and under the
+     Shapley concept it computes φ_u for the waiting members only, each by
+     the walk over the subsets containing u, in the full walk's order, so
+     every entry is bit-identical to the full vector's.  Entries are
+     memoized per (mask, instant) with a bitmask of the members done. *)
 
 type internals = {
   concept : concept;
@@ -52,10 +58,6 @@ type internals = {
   weights : float array array;
       (* weights.(n).(s-1): marginal weight of a size-s subset inside a
          size-n coalition — Shapley (s-1)!(n-s)!/n! or Banzhaf 1/2^(n-1) *)
-  subsets_flat : int array array;
-      (* per mask: its non-empty subsets in canonical walk order (the mask
-         itself first, then the decreasing submask walk); [||] means "walk
-         inline" (k > 12, where 3^k ints would not be worth the memory) *)
   v2_val : int array;
   v2_stamp : int array;  (* instant at which v2_val was computed *)
   vc_a : int array;  (* cached coalition-value polynomial 2·v(t) = a·t²+b·t+c *)
@@ -69,6 +71,9 @@ type internals = {
       (* preallocated per simulated mask (and the grand coalition) at
          construction and filled in place — no per-instant allocation *)
   phi2_stamp : int array;  (* instant at which phi2_val was computed *)
+  phi2_done : int array;
+      (* per-member memo (Shapley sub-coalitions): the members whose
+         phi2_val entry is current for the phi2_stamp instant *)
   m_owner : int array;  (* global machine id -> owning organization *)
   heap : int Heap.t;  (* global event queue: prio = time, value = mask *)
   heap_key : int array;
@@ -129,24 +134,6 @@ let create_internals ?(concept = Shapley_value) ?max_restarts
               Numeric.Combinatorics.shapley_weight_float ~players:n ~subset:s
           | Banzhaf_value -> 1. /. float_of_int (1 lsl (n - 1)))
   done;
-  let subsets_flat = Array.make nmasks [||] in
-  if k <= 12 then begin
-    (* 3^k - 2^k ints in total: ~4 MB at k = 12.  Canonical order: the mask
-       itself, then the decreasing submask walk, empty set excluded. *)
-    let flatten mask =
-      let arr = Array.make ((1 lsl size_tbl.(mask)) - 1) 0 in
-      let idx = ref 0 in
-      let sub = ref mask in
-      while !sub <> 0 do
-        arr.(!idx) <- !sub;
-        incr idx;
-        sub := (!sub - 1) land mask
-      done;
-      arr
-    in
-    Array.iter (fun mask -> subsets_flat.(mask) <- flatten mask) all_masks;
-    subsets_flat.(grand) <- flatten grand
-  end;
   (* Grand-coalition machine layout: org-contiguous ascending (the driver's
      convention); used to route machine faults to the affected masks. *)
   let m_owner =
@@ -168,7 +155,6 @@ let create_internals ?(concept = Shapley_value) ?max_restarts
     all_masks;
     size_tbl;
     weights;
-    subsets_flat;
     m_owner;
     v2_val = Array.make nmasks 0;
     v2_stamp = Array.make nmasks min_int;
@@ -178,6 +164,7 @@ let create_internals ?(concept = Shapley_value) ?max_restarts
     vc_epoch = Array.make nmasks min_int;
     phi2_val;
     phi2_stamp = Array.make nmasks min_int;
+    phi2_done = Array.make nmasks 0;
     heap = Heap.create ();
     heap_key = Array.make nmasks max_int;
     gathered = Array.make nmasks min_int;
@@ -227,18 +214,14 @@ let v2_sim st ~mask ~time =
         st.v2_val.(mask)
 
 (* Shapley/Banzhaf contributions (×2) of the members of [mask], from the
-   current sub-coalition values; [v2_top] supplies v2 of [mask] itself (for
-   the top-level call it comes from the driver's trackers, not a sim).
-   [slot] picks the memo array; it differs from [mask] only for the
-   federated top-level computation, which runs over the live consortium but
-   must not clobber that mask's own sim-side memo (their v2_top differ: the
-   real cluster's value vs the what-if schedule's).
-   Allocation-free inner loop: one float array out, no closures per subset,
-   weights and popcounts from tables. *)
-let phi2_of st ~slot ~mask ~time ~v2_top =
-  (* Preallocated per-mask scratch (construction time), zeroed and refilled
-     in place: the inner loop allocates nothing. *)
-  let phi = st.phi2_val.(slot) in
+   current sub-coalition values, written into [phi]; [v2_top] supplies v2
+   of [mask] itself (for the top-level call it comes from the driver's
+   trackers, not a sim).  The walk visits the non-empty subsets in the
+   canonical order — the mask itself, then the decreasing submask walk —
+   that {!phi2_member} replays per member.
+   Allocation-free inner loop: no closures per subset, weights and
+   popcounts from tables. *)
+let phi2_of st ~phi ~mask ~time ~v2_top =
   Array.fill phi 0 st.k 0.;
   let w_tbl = st.weights.(st.size_tbl.(mask)) in
   let add_subset sub =
@@ -255,19 +238,11 @@ let phi2_of st ~slot ~mask ~time ~v2_top =
       incr u
     done
   in
-  let subs = st.subsets_flat.(mask) in
-  if Array.length subs > 0 then
-    for i = 0 to Array.length subs - 1 do
-      add_subset subs.(i)
-    done
-  else begin
-    (* k > 12 fallback: same walk, same order, no table *)
-    let sub = ref mask in
-    while !sub <> 0 do
-      add_subset !sub;
-      sub := (!sub - 1) land mask
-    done
-  end;
+  let sub = ref mask in
+  while !sub <> 0 do
+    add_subset !sub;
+    sub := (!sub - 1) land mask
+  done;
   (* The Banzhaf value is not efficient; normalize the members' shares to
      the coalition value so the (φ − ψ) comparisons stay on one scale. *)
   (match st.concept with
@@ -280,29 +255,85 @@ let phi2_of st ~slot ~mask ~time ~v2_top =
       end)
 
 (* φ2 arrays are memoized per (mask, instant): coalition values do not
-   change within an instant (a job started now has no executed part yet). *)
+   change within an instant (a job started now has no executed part yet).
+   [slot] picks the memo array; it differs from [mask] only for the
+   federated top-level computation, which runs over the live consortium but
+   must not clobber that mask's own sim-side memo (their v2_top differ: the
+   real cluster's value vs the what-if schedule's). *)
 let phi2_cached st ?slot ~mask ~time ~v2_top () =
   let slot = Option.value slot ~default:mask in
   if st.phi2_stamp.(slot) <> time then begin
-    phi2_of st ~slot ~mask ~time ~v2_top;
+    phi2_of st ~phi:st.phi2_val.(slot) ~mask ~time ~v2_top;
     st.phi2_stamp.(slot) <- time
   end;
   st.phi2_val.(slot)
 
+(* 2·φ(u) in the simulated coalition [mask], alone: the terms the full walk
+   adds to phi.(u) are those of the subsets containing u, i.e. [rest ∪ {u}]
+   for each submask [rest] of [mask \ {u}].  Walking [rest] downward from
+   [mask \ {u}] to the empty set visits them in the full walk's order (a
+   fixed extra bit preserves the ordering), so the float sum is the same
+   sequence of additions and the result is bit-identical to the full
+   vector's entry.  O(2^(s-1)) instead of O(s·2^s) for a size-s mask. *)
+let phi2_member st ~mask ~time u =
+  let w_tbl = st.weights.(st.size_tbl.(mask)) in
+  let bit = 1 lsl u in
+  let others = mask land lnot bit in
+  let acc = ref 0. in
+  let rest = ref others in
+  let more = ref true in
+  while !more do
+    let sub = !rest lor bit in
+    let w = w_tbl.(st.size_tbl.(sub) - 1) in
+    let v_sub = v2_sim st ~mask:sub ~time in
+    let v_without = v2_sim st ~mask:!rest ~time in
+    acc := !acc +. (w *. float_of_int (v_sub - v_without));
+    if !rest = 0 then more := false else rest := (!rest - 1) land others
+  done;
+  !acc
+
+(* [phi2_member], memoized per (mask, instant) in the mask's φ2 array: within
+   one round the waiting set only shrinks, so later selections of the same
+   instant reuse the entries already computed. *)
+let phi2_member_cached st ~mask ~time u =
+  if st.phi2_stamp.(mask) <> time then begin
+    st.phi2_stamp.(mask) <- time;
+    st.phi2_done.(mask) <- 0
+  end;
+  let phi = st.phi2_val.(mask) in
+  let bit = 1 lsl u in
+  if st.phi2_done.(mask) land bit = 0 then begin
+    phi.(u) <- phi2_member st ~mask ~time u;
+    st.phi2_done.(mask) <- st.phi2_done.(mask) lor bit
+  end;
+  phi.(u)
+
 (* Selection rule inside a simulated coalition: argmax (φ − ψ) among waiting
-   members, ψ evaluated with the pending (+1 per started part) convention. *)
+   members, ψ evaluated with the pending (+1 per started part) convention.
+   A lone waiting member wins without any φ.  Shapley shares are computed
+   for the compared members only; the Banzhaf normalization sums over all
+   members, so that concept keeps the full vector. *)
 let select_in_sim st ~mask sim ~time =
-  let phi2 = phi2_cached st ~mask ~time ~v2_top:(v2_sim st ~mask ~time) () in
-  let score u =
-    let psi2 =
-      Coalition_sim.utility_scaled sim ~org:u ~at:time
-      + (2 * Instant.get (Coalition_sim.pending sim) ~time ~org:u)
-    in
-    phi2.(u) -. float_of_int psi2
-  in
   match Coalition_sim.waiting_orgs sim with
   | [] -> invalid_arg "reference: nothing waiting in sub-coalition"
+  | [ u ] -> u
   | first :: rest ->
+      let phi2 =
+        match st.concept with
+        | Shapley_value -> phi2_member_cached st ~mask ~time
+        | Banzhaf_value ->
+            let phi =
+              phi2_cached st ~mask ~time ~v2_top:(v2_sim st ~mask ~time) ()
+            in
+            Array.get phi
+      in
+      let score u =
+        let psi2 =
+          Coalition_sim.utility_scaled sim ~org:u ~at:time
+          + (2 * Instant.get (Coalition_sim.pending sim) ~time ~org:u)
+        in
+        phi2 u -. float_of_int psi2
+      in
       List.fold_left
         (fun best u -> if score u > score best then u else best)
         first rest
@@ -467,6 +498,16 @@ let contributions_scaled st ~view ~time =
 let coalition_value_scaled st ~mask ~time =
   advance_all st ~time;
   v2_sim st ~mask ~time
+
+let sub_contributions_scaled st ~mask ~time =
+  advance_all st ~time;
+  let phi = Array.make st.k 0. in
+  phi2_of st ~phi ~mask ~time ~v2_top:(v2_sim st ~mask ~time);
+  phi
+
+let member_contribution_scaled st ~mask ~org ~time =
+  advance_all st ~time;
+  phi2_member st ~mask ~time org
 
 let make_with_internals ?(name = "ref") ?concept ?max_restarts ?value_cache
     () instance ~rng:_ =

@@ -12,9 +12,14 @@ open Core
     all sub-coalition schedules (the [UpdateVals] weights
     [(s−1)!(k−s)!/k!]).
 
-    Cost per decision instant is O(k·3^k) plus the bookkeeping of 2^k − 1
-    concurrent simulations (Proposition 3.4) — FPT in the number of
-    organizations, practical for k ≲ 12.  The sub-coalition simulations
+    Cost per decision instant is O(k·3^k) in the worst case plus the
+    bookkeeping of 2^k − 1 concurrent simulations (Proposition 3.4) — FPT in
+    the number of organizations, practical for k ≲ 12.  A deciding
+    sub-coalition [C] computes only what its argmax compares: nothing when
+    one member waits, otherwise (Shapley) [φ(u)] of each waiting member
+    alone, 2^(|C|−1) terms apiece, bit-identical to the full vector's entry
+    (DESIGN.md §8, "Per-member walk").  The top level and the Banzhaf
+    concept walk the full vector, O(|C|·2^|C|).  The sub-coalition simulations
     advance in lockstep, in global event order and size-ascending within an
     instant, exactly like the [for s ← 1 to ‖C‖] loop of Fig. 1.
 
@@ -75,3 +80,18 @@ val contributions_scaled : internals -> view:Policy.view -> time:int -> float ar
 
 val coalition_value_scaled : internals -> mask:Shapley.Coalition.t -> time:int -> int
 (** [2·v(C)] of a proper sub-coalition's internal schedule at [time]. *)
+
+val sub_contributions_scaled :
+  internals -> mask:Shapley.Coalition.t -> time:int -> float array
+(** [2·φ(u)] of every member of a proper sub-coalition [mask], from the
+    values of its sub-coalition schedules at [time], by the full subset walk
+    (the one the top level and the Banzhaf concept use); entries of
+    non-members are 0.  Does not touch REF's memos. *)
+
+val member_contribution_scaled :
+  internals -> mask:Shapley.Coalition.t -> org:int -> time:int -> float
+(** [2·φ(org)] within a proper sub-coalition [mask], by the per-member walk
+    that REF's sub-coalition argmax uses under the Shapley concept.  It adds
+    the same terms in the same order as the full walk, so with
+    [Shapley_value] internals it is [Float.equal] to
+    [(sub_contributions_scaled ~mask ~time).(org)]. *)

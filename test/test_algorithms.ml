@@ -277,6 +277,79 @@ let test_ref_rich_org_priority () =
     true
     (u.(0) > 1.5 *. u.(1))
 
+(* REF's sub-coalition argmax computes 2·φ(u) only for the waiting members,
+   each by its own subset walk.  That walk must reproduce the full walk's
+   entry bit for bit (same terms, same summation order), not just closely:
+   checked for every proper sub-coalition and member at every decision
+   instant of random runs with up to 6 organizations. *)
+let qcheck_ref_member_walk =
+  let gen =
+    QCheck.Gen.(
+      let* norgs = int_range 3 6 in
+      let* machines = array_size (return norgs) (int_range 1 2) in
+      let* jobs =
+        list_size (int_range 5 40)
+          (let* org = int_range 0 (norgs - 1) in
+           let* release = int_range 0 40 in
+           let* size = int_range 1 10 in
+           return (org, release, size))
+      in
+      return (machines, jobs))
+  in
+  let make (machines, jobs) =
+    Instance.make ~machines
+      ~jobs:
+        (List.map
+           (fun (org, release, size) ->
+             Job.make ~org ~index:0 ~release ~size ())
+           jobs)
+      ~horizon:120
+  in
+  QCheck.Test.make ~name:"ref: per-member φ walk equals the full walk"
+    ~count:40
+    (QCheck.make
+       ~print:(fun raw -> Format.asprintf "%a" Instance.pp_detailed (make raw))
+       gen)
+    (fun raw ->
+      let instance = make raw in
+      let grand =
+        Shapley.Coalition.grand ~players:(Instance.organizations instance)
+      in
+      let mismatches = ref 0 in
+      let maker instance ~rng =
+        let policy, internals =
+          Algorithms.Reference.make_with_internals () instance ~rng
+        in
+        let check ~time =
+          for mask = 1 to grand - 1 do
+            let full =
+              Algorithms.Reference.sub_contributions_scaled internals ~mask
+                ~time
+            in
+            Shapley.Coalition.iter_members
+              (fun org ->
+                let one =
+                  Algorithms.Reference.member_contribution_scaled internals
+                    ~mask ~org ~time
+                in
+                if not (Float.equal one full.(org)) then incr mismatches)
+              mask
+          done
+        in
+        {
+          policy with
+          Algorithms.Policy.select =
+            (fun view ~time ->
+              check ~time;
+              policy.Algorithms.Policy.select view ~time);
+        }
+      in
+      ignore
+        (Sim.Driver.run ~record:false ~instance
+           ~rng:(Fstats.Rng.create ~seed:5)
+           maker);
+      !mismatches = 0)
+
 (* --- Coalition_sim --------------------------------------------------------- *)
 
 let test_coalition_sim_matches_driver () =
@@ -380,7 +453,116 @@ let test_roundrobin_alternates () =
     "alternating orgs" [ 0; 1; 0; 1; 0; 1; 0; 1; 0; 1 ]
     orgs
 
+(* --- REF golden fixture ------------------------------------------------------
+
+   The utility vectors of REF and REF-Banzhaf at k = 6 and k = 8 — plain,
+   under machine faults and under endowment churn — compared byte-for-byte
+   against a fixture.  At these sizes the sub-coalition argmax picks among
+   several waiting organizations, so any change to how contributions are
+   computed or compared shows here (the kernel fixture's k = 3 instance
+   schedules REF exactly like FIFO).
+
+   Regenerate (only when a semantic change is intended and understood):
+
+     dune exec test/test_algorithms.exe -- capture > test/fixtures/ref_golden.csv
+*)
+
+let ref_golden_cases () =
+  let horizon = 20_000 in
+  List.concat_map
+    (fun k ->
+      let instance =
+        Workload.Scenario.instance
+          (Workload.Scenario.default ~norgs:k ~machines:(2 * k) ~horizon
+             ~load:1.0 Workload.Traces.lpc_egee)
+          ~seed:(2013 + k)
+      in
+      let faults =
+        Faults.Model.random
+          ~rng:(Fstats.Rng.create ~seed:(k lxor 0xfa017))
+          ~machines:(Instance.total_machines instance)
+          ~horizon
+          ~mtbf:(Faults.Model.Exponential { mean = 2_000. })
+          ~mttr:(Faults.Model.Exponential { mean = 200. })
+          ()
+      in
+      (* The richest organization lends its last machine to its successor
+         for a while, and a third organization leaves and rejoins: both
+         the sub-coalition values and the top-level player set move. *)
+      let federation =
+        let machines = instance.Instance.machines in
+        let rich = ref 0 in
+        Array.iteri
+          (fun u n -> if n > machines.(!rich) then rich := u)
+          machines;
+        let rich = !rich in
+        (* global ids are org-contiguous: the last id of [rich]'s block *)
+        let lent =
+          Array.fold_left ( + ) 0 (Array.sub machines 0 (rich + 1)) - 1
+        in
+        let leaver = (rich + 2) mod k in
+        let ev time event = { Federation.Event.time; event } in
+        Federation.Model.scripted
+          [
+            ev 3_000
+              (Lend
+                 { org = rich; to_org = (rich + 1) mod k; machines = [ lent ] });
+            ev 5_000 (Leave { org = leaver });
+            ev 9_000 (Reclaim { org = rich; machines = [ lent ] });
+            ev 12_000 (Join { org = leaver; machines = [] });
+          ]
+      in
+      let name suffix = Printf.sprintf "k%d%s" k suffix in
+      [
+        (name "", instance, [], []);
+        (name "-faults", instance, faults, []);
+        (name "-federation", instance, [], federation);
+      ])
+    [ 6; 8 ]
+
+let ref_golden_lines () =
+  List.concat_map
+    (fun (case, instance, faults, federation) ->
+      List.map
+        (fun name ->
+          let r =
+            Sim.Driver.run ~record:false ~faults ~federation ~instance
+              ~rng:(Fstats.Rng.create ~seed:77)
+              (Algorithms.Registry.find_exn name)
+          in
+          Printf.sprintf "%s,%s,%s" case name
+            (String.concat ";"
+               (List.map string_of_int
+                  (Array.to_list r.Sim.Driver.utilities_scaled))))
+        [ "ref"; "ref-banzhaf" ])
+    (ref_golden_cases ())
+
+let ref_golden_path = "fixtures/ref_golden.csv"
+
+let test_ref_golden () =
+  let expected =
+    In_channel.with_open_text ref_golden_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let got = ref_golden_lines () in
+  Alcotest.(check int) "fixture covers every case" (List.length expected)
+    (List.length got);
+  List.iter2
+    (fun e g ->
+      let key l =
+        match String.split_on_char ',' l with
+        | case :: name :: _ -> case ^ "/" ^ name
+        | _ -> l
+      in
+      Alcotest.(check string) (key e) e g)
+    expected got
+
 let () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = "capture" then begin
+    List.iter print_endline (ref_golden_lines ());
+    exit 0
+  end;
   Alcotest.run "algorithms"
     [
       ("structural", List.map QCheck_alcotest.to_alcotest structural_tests);
@@ -402,6 +584,12 @@ let () =
           Alcotest.test_case "dummy organization" `Quick test_ref_dummy_org;
           Alcotest.test_case "rich org priority" `Quick
             test_ref_rich_org_priority;
+          QCheck_alcotest.to_alcotest qcheck_ref_member_walk;
+        ] );
+      ( "ref-golden",
+        [
+          Alcotest.test_case "k=6/8 utilities, plain/faults/federation" `Slow
+            test_ref_golden;
         ] );
       ( "coalition-sim",
         [

@@ -597,9 +597,9 @@ let wire () =
 (* --- E25: service saturation — sharded daemon throughput ---------------- *)
 
 (* Spawn the REAL `fairsched serve` (path from --serve-exe; fork+exec, so
-   safe even after this process has run domains) with a sharded,
-   group-committing configuration, saturate it with the pipelined
-   multi-connection load generator, and record throughput per
+   safe even after this process has run domains) with a sharded
+   configuration and a state dir (one fsync per pump), saturate it with
+   the pipelined multi-connection load generator, and record throughput per
    (shards × connections) cell.  Single-shard rows are the baseline; on a
    multi-core machine the sharded rows must show real speedup, on a
    single-core one the rows are flagged "single_core": true and the
@@ -629,11 +629,10 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
       let single_core = cores < 2 in
       let norgs = 2 * groups and machines = 4 * groups in
       let horizon = 1_000_000 and seed = 4242 in
-      let window = 32 and commit_interval_ms = 2 in
+      let window = 32 in
       Format.printf
-        "  cores=%d  groups=%d  orgs=%d  machines=%d  window=%d  \
-         commit-interval=%dms  jobs=%d@.@."
-        cores groups norgs machines window commit_interval_ms count;
+        "  cores=%d  groups=%d  orgs=%d  machines=%d  window=%d  jobs=%d@.@."
+        cores groups norgs machines window count;
       if single_core then
         Format.printf
           "  !! single-core machine: worker domains time-share 1 core, so \
@@ -680,7 +679,6 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
               "--algorithm"; "fairshare";
               "--groups"; string_of_int groups;
               "--shards"; string_of_int shards;
-              "--commit-interval"; string_of_int commit_interval_ms;
             |]
             Unix.stdin out Unix.stderr
         in
@@ -741,7 +739,7 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
           failed := Printf.sprintf "%s: %d submissions lost" cell lost :: !failed;
         if fsyncs >= acks && acks > 0 then
           failed :=
-            Printf.sprintf "%s: group commit did not amortize (%d fsyncs / %d acks)"
+            Printf.sprintf "%s: fsyncs did not amortize (%d fsyncs / %d acks)"
               cell fsyncs acks
             :: !failed;
         (report, fsyncs, acks)
@@ -815,7 +813,6 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
              ("cores", Obs.Json.Int cores);
              ("single_core", Obs.Json.Bool single_core);
              ("window", Obs.Json.Int window);
-             ("commit_interval_ms", Obs.Json.Int commit_interval_ms);
              ("rows", Obs.Json.List (List.map snd rows));
              ( "speedup",
                match speedup with

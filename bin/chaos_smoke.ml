@@ -26,23 +26,9 @@
    Every randomized trial prints its seed on failure so it can be
    replayed.  Exit 0 on success, 1 with a one-line reason otherwise. *)
 
-let exe = ref ""
-let failures = ref 0
+open Smoke
+
 let trials = ref 0
-
-let fail fmt =
-  Format.kasprintf
-    (fun msg ->
-      incr failures;
-      Format.eprintf "chaos-smoke: FAIL %s@." msg)
-    fmt
-
-let fatal fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "chaos-smoke: FATAL %s@." msg;
-      exit 1)
-    fmt
 
 let read_file path =
   let ic = open_in_bin path in
@@ -54,59 +40,6 @@ let write_file path content =
   let oc = open_out_bin path in
   output_string oc content;
   close_out oc
-
-let rec rm path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-chaos-%d" (Unix.getpid ()))
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-(* --- child-process plumbing ---------------------------------------------- *)
-
-let devnull () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644
-
-let spawn_serve args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list (Filename.basename !exe :: "serve" :: args))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  pid
-
-let reap pid =
-  try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
-
-let kill9 pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap pid)
-
-let run_cli args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list (Filename.basename !exe :: args))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  match reap pid with
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 255
 
 (* --- a client that supervises its daemon --------------------------------- *)
 
@@ -798,11 +731,7 @@ let degrade_phase root =
     switches recoveries shed
 
 let () =
-  if Array.length Sys.argv < 2 then fatal "usage: chaos_smoke FAIRSCHED_EXE";
-  exe :=
-    (if Filename.is_relative Sys.argv.(1) then
-       Filename.concat (Sys.getcwd ()) Sys.argv.(1)
-     else Sys.argv.(1));
+  init ~name:"chaos-smoke" ~usage:"chaos_smoke FAIRSCHED_EXE";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   with_tmpdir (fun dir ->
       crash_phase dir;

@@ -1065,17 +1065,6 @@ let serve_cmd =
              across any value for a fixed --groups.  1 runs everything \
              inline on the router thread.")
   in
-  let commit_interval_arg =
-    Arg.(
-      value
-      & opt (nonneg_float_conv "--commit-interval") 0.
-      & info [ "commit-interval" ] ~docv:"MS"
-          ~doc:
-            "Group-commit window in milliseconds: hold acks so one fsync \
-             covers a batch, bounding the added latency by this window.  0 \
-             fsyncs every pump (the classic behaviour).  Acked submissions \
-             survive kill -9 either way.")
-  in
   let log_level_arg =
     Arg.(
       value
@@ -1097,7 +1086,7 @@ let serve_cmd =
   let run listen state model algo estimator norgs machines horizon seed split
       max_restarts queue_cap snapshot_every chaos degrade overload_queue
       overload_ms overload_trip overload_recover groups shards
-      commit_interval federation_spec log_level log_file trace metrics =
+      federation_spec log_level log_file trace metrics =
     (match max_restarts with
     | Some r when r < 0 -> die "--max-restarts must be >= 0"
     | Some _ | None -> ());
@@ -1165,8 +1154,7 @@ let serve_cmd =
     in
     let cfg =
       Service.Server.make_config ?state_dir:state ~queue_cap ~snapshot_every
-        ?degrade_to:degrade ~overload ~shards
-        ~commit_interval:(commit_interval /. 1000.) ~addr:listen ~service ()
+        ?degrade_to:degrade ~overload ~shards ~addr:listen ~service ()
     in
     let ready () =
       Format.printf "fairsched serve: %a listening on %a%s@."
@@ -1191,7 +1179,7 @@ let serve_cmd =
       $ machines_arg $ horizon_arg 50_000 $ seed_arg $ split_arg
       $ max_restarts_arg $ queue_cap_arg $ snapshot_every_arg $ chaos_arg
       $ degrade_arg $ overload_queue_arg $ overload_ms_arg $ overload_trip_arg
-      $ overload_recover_arg $ groups_arg $ shards_arg $ commit_interval_arg
+      $ overload_recover_arg $ groups_arg $ shards_arg
       $ federation_arg $ log_level_arg $ log_file_arg $ trace_arg
       $ metrics_arg)
 

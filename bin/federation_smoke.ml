@@ -26,105 +26,9 @@
 
    Exit 0 on success, 1 with a one-line reason on any failure. *)
 
-let exe = ref ""
-let extra_serve_args = ref []
+open Smoke
+
 let groups = ref 1
-let failures = ref 0
-
-let fail fmt =
-  Format.kasprintf
-    (fun msg ->
-      incr failures;
-      Format.eprintf "federation-smoke: FAIL %s@." msg)
-    fmt
-
-let fatal fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "federation-smoke: FATAL %s@." msg;
-      exit 1)
-    fmt
-
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-fed-smoke-%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-(* --- child-process plumbing ---------------------------------------------- *)
-
-let devnull () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644
-
-let spawn_serve args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list
-         (Filename.basename !exe :: "serve" :: (args @ !extra_serve_args)))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  pid
-
-let reap pid =
-  try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
-
-let kill9 pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap pid)
-
-let connect_retry addr =
-  let rec go n =
-    match Service.Client.connect addr with
-    | Ok c -> c
-    | Error e ->
-        if n = 0 then fatal "connect: %s" (Service.Client.error_to_string e)
-        else begin
-          Unix.sleepf 0.05;
-          go (n - 1)
-        end
-  in
-  go 200
-
-let request client req =
-  match Service.Client.request client req with
-  | Ok resp -> resp
-  | Error e -> fatal "request: %s" (Service.Client.error_to_string e)
-
-let submit_job client (j : Core.Job.t) =
-  match
-    request client
-      (Service.Protocol.Submit
-         {
-           org = j.Core.Job.org;
-           user = j.Core.Job.user;
-           release = j.Core.Job.release;
-           size = j.Core.Job.size;
-           cid = 0;
-           cseq = 0;
-           trace = 0;
-         })
-  with
-  | Service.Protocol.Submit_ok { index; _ } ->
-      if index <> j.Core.Job.index then
-        fail "served rank %d <> batch rank %d" index j.Core.Job.index
-  | Service.Protocol.Error { msg; _ } -> fatal "submit rejected: %s" msg
-  | _ -> fatal "submit: unexpected response"
 
 let send_endow client ({ Federation.Event.time; event } : Federation.Event.timed)
     =
@@ -362,14 +266,8 @@ let churn_phase dir =
       (List.length script) cut !groups
 
 let () =
-  if Array.length Sys.argv < 2 then
-    fatal "usage: federation_smoke FAIRSCHED_EXE [SERVE_ARGS...]";
-  exe :=
-    (if Filename.is_relative Sys.argv.(1) then
-       Filename.concat (Sys.getcwd ()) Sys.argv.(1)
-     else Sys.argv.(1));
-  extra_serve_args :=
-    Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2));
+  init ~name:"federation-smoke"
+    ~usage:"federation_smoke FAIRSCHED_EXE [SERVE_ARGS...]";
   (let rec scan = function
      | "--groups" :: v :: rest ->
          groups := int_of_string v;
@@ -379,8 +277,4 @@ let () =
    in
    try scan !extra_serve_args with Failure _ -> fatal "bad --groups value");
   with_tmpdir churn_phase;
-  if !failures > 0 then begin
-    Format.eprintf "federation-smoke: %d failure(s)@." !failures;
-    exit 1
-  end;
-  Format.printf "federation-smoke: OK@."
+  finish ()

@@ -1,8 +1,8 @@
 (* End-to-end smoke for the live observability plane, driven through the
    REAL `fairsched` binary (argv.(1)):
 
-   1. boot a sharded daemon (4 org-groups on 4 worker domains, group
-      commit, the rand-4 sampled estimator) with structured NDJSON logs;
+   1. boot a sharded daemon (4 org-groups on 4 worker domains, a state
+      dir, the rand-4 sampled estimator) with structured NDJSON logs;
    2. saturate it with a rate-limited `fairsched loadgen` subprocess and,
       while the load is still flowing, scrape `ctl metrics` and
       `ctl trace` — the plane must answer mid-run, not just at rest;
@@ -20,79 +20,7 @@
 
    Exit 0 on success, 1 with a one-line reason on any failure. *)
 
-let exe = ref ""
-let failures = ref 0
-
-let fail fmt =
-  Format.kasprintf
-    (fun msg ->
-      incr failures;
-      Format.eprintf "obs-smoke: FAIL %s@." msg)
-    fmt
-
-let fatal fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "obs-smoke: FATAL %s@." msg;
-      exit 1)
-    fmt
-
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-obs-smoke-%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-let devnull () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644
-
-let spawn args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list (Filename.basename !exe :: args))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  pid
-
-let reap pid =
-  try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
-
-let kill9 pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap pid)
-
-let run_cli args =
-  match reap (spawn args) with
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 255
-
-let connect_retry addr =
-  let rec go n =
-    match Service.Client.connect addr with
-    | Ok c -> c
-    | Error e ->
-        if n = 0 then fatal "connect: %s" (Service.Client.error_to_string e)
-        else begin
-          Unix.sleepf 0.05;
-          go (n - 1)
-        end
-  in
-  go 200
+open Smoke
 
 let read_json path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -222,11 +150,7 @@ let check_log path =
 (* --- the run ------------------------------------------------------------- *)
 
 let () =
-  if Array.length Sys.argv < 2 then fatal "usage: obs_smoke FAIRSCHED_EXE";
-  exe :=
-    (if Filename.is_relative Sys.argv.(1) then
-       Filename.concat (Sys.getcwd ()) Sys.argv.(1)
-     else Sys.argv.(1));
+  init ~name:"obs-smoke" ~usage:"obs_smoke FAIRSCHED_EXE";
   let orgs = 8 and machines = 16 and groups = 4 and shards = 4 in
   let horizon = 1_000_000 and seed = 7 and count = 1_200 in
   with_tmpdir (fun dir ->
@@ -246,7 +170,7 @@ let () =
              "--algorithm"; "rand-4";
              "--groups"; string_of_int groups;
              "--shards"; string_of_int shards;
-             "--commit-interval"; "2"; "--federation";
+             "--federation";
              "--log-level"; "info"; "--log-file"; log;
            ]
           @ shape)
@@ -313,8 +237,4 @@ let () =
           check_log log;
           let code = run_cli [ "ctl"; "drain"; "--to"; sock ] in
           if code <> 0 then fail "`ctl drain` exited %d" code));
-  if !failures > 0 then begin
-    Format.eprintf "obs-smoke: %d failure(s)@." !failures;
-    exit 1
-  end;
-  Format.printf "obs-smoke: OK@."
+  finish ()

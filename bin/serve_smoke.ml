@@ -13,133 +13,23 @@
       percentiles.
 
    Any argv after the exe path is passed through to every `serve`
-   invocation — `serve_smoke fairsched --groups 2 --shards 2
-   --commit-interval 2` re-runs the whole gauntlet against a sharded,
-   group-committing daemon.  The smoke parses --groups/--shards/
-   --commit-interval out of the passthrough to shape its expectations:
+   invocation — `serve_smoke fairsched --groups 2 --shards 2` re-runs
+   the whole gauntlet against a sharded daemon.  The smoke parses
+   --groups/--shards out of the passthrough to shape its expectations:
    with groups > 1 the golden ψsp/stats come from per-group batch-
    equivalent engines over Partition.sub_config (grouping changes the
    game — each consortium pools only its own machines), loadgen mirrors
-   the partition with one pipelined connection per group, and a group-
-   committing daemon must report fewer fsyncs than acks.
+   the partition with one pipelined connection per group against a
+   durable daemon, and that daemon must report fewer fsyncs than acks
+   (one fsync per pump covers many acks).
 
    Exit 0 on success, 1 with a one-line reason on any failure. *)
 
-let exe = ref ""
-let extra_serve_args = ref []
+open Smoke
 
 (* Parsed back out of [extra_serve_args] to shape expectations. *)
 let groups = ref 1
 let shards = ref 1
-let commit_interval_ms = ref 0.
-let failures = ref 0
-
-let fail fmt =
-  Format.kasprintf
-    (fun msg ->
-      incr failures;
-      Format.eprintf "serve-smoke: FAIL %s@." msg)
-    fmt
-
-let fatal fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "serve-smoke: FATAL %s@." msg;
-      exit 1)
-    fmt
-
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-smoke-%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-(* --- child-process plumbing ---------------------------------------------- *)
-
-let devnull () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644
-
-let spawn_serve args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list
-         (Filename.basename !exe :: "serve" :: (args @ !extra_serve_args)))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  pid
-
-let reap pid =
-  try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
-
-let kill9 pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap pid)
-
-let run_cli args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list (Filename.basename !exe :: args))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  match reap pid with
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 255
-
-let connect_retry addr =
-  let rec go n =
-    match Service.Client.connect addr with
-    | Ok c -> c
-    | Error e ->
-        if n = 0 then fatal "connect: %s" (Service.Client.error_to_string e)
-        else begin
-          Unix.sleepf 0.05;
-          go (n - 1)
-        end
-  in
-  go 200
-
-let request client req =
-  match Service.Client.request client req with
-  | Ok resp -> resp
-  | Error e -> fatal "request: %s" (Service.Client.error_to_string e)
-
-let submit_job client (j : Core.Job.t) =
-  match
-    request client
-      (Service.Protocol.Submit
-         {
-           org = j.Core.Job.org;
-           user = j.Core.Job.user;
-           release = j.Core.Job.release;
-           size = j.Core.Job.size;
-           cid = 0;
-           cseq = 0;
-           trace = 0;
-         })
-  with
-  | Service.Protocol.Submit_ok { index; _ } ->
-      if index <> j.Core.Job.index then
-        fail "served rank %d <> batch rank %d" index j.Core.Job.index
-  | Service.Protocol.Error { msg; _ } -> fatal "submit rejected: %s" msg
-  | _ -> fatal "submit: unexpected response"
 
 (* --- phase 1: crash recovery --------------------------------------------- *)
 
@@ -309,11 +199,10 @@ let loadgen_phase dir =
          "--algorithm"; "fairshare";
        ]
       @
-      (* Group commit is about WAL fsyncs: give the daemon a state dir
-         when that is what this run exercises (otherwise stay ephemeral,
-         the classic throughput floor). *)
-      if !commit_interval_ms > 0. then
-        [ "--state"; Filename.concat dir "load-state" ]
+      (* A sharded run also checks fsync amortization, so give the
+         daemon a state dir (otherwise stay ephemeral, the classic
+         throughput floor). *)
+      if !groups > 1 then [ "--state"; Filename.concat dir "load-state" ]
       else [])
   in
   Fun.protect
@@ -322,9 +211,9 @@ let loadgen_phase dir =
       let addr = Service.Addr.Unix_sock sock in
       Service.Client.close (connect_retry addr);
       (* Mirror the daemon's shape: one connection per org-group, and —
-         when group commit is on — a pipelined window so one fsync can
-         cover many acks. *)
-      let window = if !commit_interval_ms > 0. then 32 else 1 in
+         when sharded — a pipelined window so one fsync can cover many
+         acks. *)
+      let window = if !groups > 1 then 32 else 1 in
       let report =
         match
           Service.Loadgen.run
@@ -358,7 +247,7 @@ let loadgen_phase dir =
         fail "throughput %.0f/s below the 1000/s floor"
           report.Service.Loadgen.achieved_rate;
       (* The daemon's own view: the partition it reported must be the one
-         we asked for, and group commit must have amortized fsyncs. *)
+         we asked for, and a sharded run must have amortized fsyncs. *)
       let client = connect_retry addr in
       (match request client Service.Protocol.Status with
       | Service.Protocol.Status_ok st ->
@@ -371,10 +260,10 @@ let loadgen_phase dir =
             fail "daemon reports %d shards, expected %d"
               st.Service.Protocol.shards w;
           if
-            !commit_interval_ms > 0.
+            !groups > 1
             && st.Service.Protocol.fsyncs >= st.Service.Protocol.accepted
           then
-            fail "group commit did not amortize: %d fsyncs for %d accepted"
+            fail "fsyncs did not amortize: %d fsyncs for %d accepted"
               st.Service.Protocol.fsyncs st.Service.Protocol.accepted
       | _ -> fatal "status: unexpected response");
       (match request client (Service.Protocol.Drain { detail = false }) with
@@ -383,14 +272,7 @@ let loadgen_phase dir =
       Service.Client.close client)
 
 let () =
-  if Array.length Sys.argv < 2 then
-    fatal "usage: serve_smoke FAIRSCHED_EXE [SERVE_ARGS...]";
-  exe :=
-    (if Filename.is_relative Sys.argv.(1) then
-       Filename.concat (Sys.getcwd ()) Sys.argv.(1)
-     else Sys.argv.(1));
-  extra_serve_args :=
-    Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2));
+  init ~name:"serve-smoke" ~usage:"serve_smoke FAIRSCHED_EXE [SERVE_ARGS...]";
   (let rec scan = function
      | "--groups" :: v :: rest ->
          groups := int_of_string v;
@@ -398,20 +280,13 @@ let () =
      | "--shards" :: v :: rest ->
          shards := int_of_string v;
          scan rest
-     | "--commit-interval" :: v :: rest ->
-         commit_interval_ms := float_of_string v;
-         scan rest
      | _ :: rest -> scan rest
      | [] -> ()
    in
    try scan !extra_serve_args
-   with Failure _ -> fatal "bad --groups/--shards/--commit-interval value");
+   with Failure _ -> fatal "bad --groups/--shards value");
   with_tmpdir (fun dir ->
       crash_recovery_phase dir;
       cli_submit_phase dir;
       loadgen_phase dir);
-  if !failures > 0 then begin
-    Format.eprintf "serve-smoke: %d failure(s)@." !failures;
-    exit 1
-  end;
-  Format.printf "serve-smoke: OK@."
+  finish ()

@@ -32,8 +32,8 @@
     {b Windowed (open-loop) mode.}  [window > 1] switches a connection
     from the resilient closed loop to a raw pipelined socket keeping up
     to [window] stamped submissions in flight.  One server fsync can
-    then cover many acks — this is what makes [--commit-interval] group
-    commit measurable.  Semantics become open-loop: [Backpressure]
+    then cover many acks — this is what makes the daemon's fsync
+    batching measurable.  Semantics become open-loop: [Backpressure]
     answers are counted and the job dropped (not retried); transport
     failures reconnect and retransmit every unacked request with its
     original (cid, cseq) stamp, so crashes still cost retries rather

@@ -91,8 +91,9 @@ type status = {
   groups : int;  (** org-group partition size (1 = unsharded) *)
   shards : int;  (** worker domains executing the groups *)
   fsyncs : int;
-      (** WAL fsyncs since boot, summed over segments; under group-commit
-          this stays well below [accepted] (one fsync acks a batch) *)
+      (** WAL fsyncs since boot, summed over segments; under pipelined
+          load this stays well below [accepted] (one fsync per pump acks
+          the whole batch) *)
 }
 
 type drain_report = {

@@ -2,7 +2,7 @@
    connection, parses request lines, and routes each feed to the shard
    owning its org-group; control requests are broadcast to all groups
    and their per-group parts merged back into one response.  Engine
-   work, WAL appends, group commit, dedupe, and overload detection all
+   work, WAL appends and commits, dedupe, and overload detection all
    live in Shard — one per org-group, executed by 1..shards worker
    domains (inline on this thread when single-shard, preserving the
    pre-sharding single-threaded daemon exactly).  DESIGN.md §15. *)
@@ -17,12 +17,11 @@ type config = {
   degrade_to : string option;
   overload : Overload.config;
   shards : int;
-  commit_interval : float;
 }
 
 let make_config ?state_dir ?(queue_cap = 1024) ?(snapshot_every = 4096)
     ?(drain_batch = 256) ?degrade_to ?(overload = Overload.default)
-    ?(shards = 1) ?(commit_interval = 0.0) ~addr ~service () =
+    ?(shards = 1) ~addr ~service () =
   {
     addr;
     service;
@@ -33,7 +32,6 @@ let make_config ?state_dir ?(queue_cap = 1024) ?(snapshot_every = 4096)
     degrade_to;
     overload;
     shards;
-    commit_interval;
   }
 
 let m_shed = Obs.Metrics.counter "service.shed"
@@ -725,8 +723,7 @@ let run ?(ready = fun () -> ()) cfg =
         let* shard =
           Shard.create ~partition:part ~group:grp ~state_dir:sd
             ~overload:cfg.overload ~degrade_to:cfg.degrade_to
-            ~snapshot_every:cfg.snapshot_every
-            ~commit_interval:cfg.commit_interval ~commit_max:cfg.drain_batch ()
+            ~snapshot_every:cfg.snapshot_every ()
         in
         go (shard :: acc) (grp + 1)
     in

@@ -23,13 +23,11 @@
     emitted in request order (a reorder buffer absorbs cross-shard
     completion races).
 
-    Durability is per group, with group commit: accepted feeds are
-    appended to the group's WAL segment and their acks {e held} until
-    one [fsync] covers the batch — immediately when [commit_interval] is
-    0 (the pre-sharding fsync-per-batch behaviour), else when the oldest
-    held ack is [commit_interval] seconds old or [drain_batch] acks are
-    held.  Either way no ack reaches a client before its record is
-    durable: an acked submission survives [kill -9].
+    Durability is per group: accepted feeds are appended to the group's
+    WAL segment and their acks {e held} until the end of the pump, when
+    one [fsync] covers every append the pump made.  No ack reaches a
+    client before its record is durable: an acked submission survives
+    [kill -9].
 
     Robustness (DESIGN.md §14) is unchanged per group: (cid, cseq)
     dedupe rebuilt from the WAL on recovery; overload detection driving
@@ -64,8 +62,7 @@ type config = {
       (** max {e feed} requests entering a group's engine per pump;
           rejects and control requests are answered without consuming
           the budget (shedding must stay cheap under the flood that
-          caused it).  Also the held-ack count that forces an early
-          group commit. *)
+          caused it). *)
   degrade_to : string option;
       (** estimator spec to switch to under sustained overload (e.g.
           ["rand:0.1,0.9"]); [None] disables degraded mode.  The switch —
@@ -82,12 +79,6 @@ type config = {
           behaviour.  Scheduling state is bit-identical across any
           [shards] value for a fixed [groups]: the partition, not the
           execution, decides which engine sees which event. *)
-  commit_interval : float;
-      (** group-commit window in seconds; 0 (the default) fsyncs every
-          pump exactly as the pre-sharding server did.  Positive values
-          bound the extra ack latency while letting one fsync cover many
-          acks ([service.fsync_total] stays well below
-          [service.acks_total] under load). *)
 }
 
 val make_config :
@@ -98,14 +89,12 @@ val make_config :
   ?degrade_to:string ->
   ?overload:Overload.config ->
   ?shards:int ->
-  ?commit_interval:float ->
   addr:Addr.t ->
   service:Config.t ->
   unit ->
   config
 (** Defaults: queue_cap 1024, snapshot_every 4096, drain_batch 256, no
-    degraded mode, {!Overload.default} thresholds, shards 1,
-    commit_interval 0. *)
+    degraded mode, {!Overload.default} thresholds, shards 1. *)
 
 val run : ?ready:(unit -> unit) -> config -> (unit, string) result
 (** Bind, recover, serve until drained.  [ready] fires once the socket

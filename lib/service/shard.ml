@@ -1,5 +1,5 @@
 (* One org-group's scheduling domain: its engine, WAL segment, dedupe
-   table, overload detector, and group-commit buffer — everything the
+   table, overload detector, and held-ack buffer — everything the
    old single-threaded server owned, minus the sockets.  The router
    (Server) feeds it messages through a mailbox and receives
    completions; in single-shard mode the same code runs inline on the
@@ -35,8 +35,9 @@ let h_commit_hold_us = Obs.Metrics.histogram "service.commit_hold_us"
    A mutex-protected queue with a pipe for readiness: the producer writes
    one wake byte on the empty->non-empty transition, the consumer selects
    on the read end (a timed wait — OCaml's Condition has no timeout, and
-   group-commit needs deadline wakeups).  Single producer (the router),
-   single consumer (one worker domain), but safe for any number. *)
+   the idle worker wakes once a second for overload recovery).  Single
+   producer (the router), single consumer (one worker domain), but safe
+   for any number. *)
 module Mailbox = struct
   type 'a t = {
     q : 'a Queue.t;
@@ -95,7 +96,7 @@ type query = Q_status | Q_psi | Q_snapshot | Q_drain of { detail : bool }
 type 'tok msg =
   | Feed of { tok : 'tok; req : Protocol.request; t_enq : float }
   | Query of { tok : 'tok; q : query }
-  | Tick  (* wake only: commit deadlines, stop checks *)
+  | Tick  (* wake only: stop checks *)
 
 (* Per-shard slices of the aggregated control responses.  Arrays are
    local to the group's org block; the router scatters them into global
@@ -145,8 +146,6 @@ type 'tok t = {
   site_prefix : string;
   snapshot_every : int;
   degrade_to : string option;
-  commit_interval : float;  (* seconds; 0 = fsync every pump *)
-  commit_max : int;  (* held-ack count that forces an early commit *)
   mutable online : Online.t;
   mutable estimator : string;
   mutable writer : Wal.writer option;
@@ -158,10 +157,9 @@ type 'tok t = {
   mutable draining : bool;
   dedupe : (int, int * Protocol.response) Hashtbl.t;
   detector : Overload.t;
-  (* group-commit: acks awaiting the fsync that covers their records *)
+  (* acks awaiting the fsync that covers their records *)
   mutable held : ('tok * Protocol.response * float) list;  (* newest first *)
   mutable held_n : int;
-  mutable first_held : float;
   mutable fsyncs : int;
   (* published for the router's routing/shedding decisions *)
   pub_overloaded : bool Atomic.t;
@@ -297,7 +295,7 @@ let estimator_budget ~spec ~players =
 (* --- Creation / recovery ------------------------------------------------- *)
 
 let create ~partition ~group ~state_dir ~overload ~degrade_to ~snapshot_every
-    ~commit_interval ~commit_max () =
+    () =
   let ( let* ) = Result.bind in
   let base = Partition.config partition in
   let sub = Partition.sub_config partition group in
@@ -393,8 +391,6 @@ let create ~partition ~group ~state_dir ~overload ~degrade_to ~snapshot_every
       site_prefix;
       snapshot_every;
       degrade_to;
-      commit_interval;
-      commit_max;
       online;
       estimator;
       writer;
@@ -411,7 +407,6 @@ let create ~partition ~group ~state_dir ~overload ~degrade_to ~snapshot_every
           ();
       held = [];
       held_n = 0;
-      first_held = 0.;
       fsyncs = 0;
       pub_overloaded = Atomic.make false;
       pub_retry_ms = Atomic.make 25;
@@ -453,42 +448,24 @@ let do_snapshot t =
               Chaos.Fs.point (t.site_prefix ^ "after-wal-reset");
               Ok path))
 
-(* --- Group commit --------------------------------------------------------
-   Acks of accepted feeds are held until one fsync covers the whole
-   batch.  With [commit_interval = 0] every pump that appended syncs
-   immediately (the pre-sharding behaviour: one fsync per select round);
-   with an interval, appends accumulate until the deadline or
-   [commit_max] held acks, amortizing the fsync across them.  A sync
+(* --- Commit ---------------------------------------------------------------
+   Acks of accepted feeds are held until the end of the pump, when one
+   fsync covers every append the pump made (natural batching: whatever
+   arrived during the previous fsync lands in the next one).  A sync
    failure answers the held batch with wal-error and keeps the records
    buffered — the next successful commit repairs and lands them. *)
 
 let hold t tok resp t_enq =
-  if t.held_n = 0 then t.first_held <- t_enq;
-  (* first_held is set from the enqueue time of the oldest held ack, so a
-     commit interval bounds the *total* added latency, not just the
-     server-side part *)
   t.held <- (tok, resp, t_enq) :: t.held;
   t.held_n <- t.held_n + 1
 
-let commit_due t ~now ~force =
-  let wal_pending =
-    match t.writer with Some w -> Wal.pending w | None -> false
-  in
-  (t.held_n > 0 || wal_pending)
-  && (force
-     || t.commit_interval <= 0.
-     || t.held_n >= t.commit_max
-     || (t.held_n > 0 && now -. t.first_held >= t.commit_interval))
-
-(* Seconds until the commit deadline, when acks are held; [None] = no
-   deadline pending. *)
-let commit_deadline t ~now =
-  if t.held_n = 0 || t.commit_interval <= 0. then None
-  else Some (Float.max 0. (t.first_held +. t.commit_interval -. now))
+let commit_due t =
+  t.held_n > 0
+  || match t.writer with Some w -> Wal.pending w | None -> false
 
 (* Returns the completions this commit releases (in request order). *)
-let commit t ~now ~force =
-  if not (commit_due t ~now ~force) then []
+let commit t ~now =
+  if not (commit_due t) then []
   else begin
     let sync_result =
       match t.writer with
@@ -775,22 +752,20 @@ let query t ~post ~now tok q =
       let r =
         Result.map (fun path -> (t.seq, path)) (do_snapshot t)
       in
-      List.iter post (commit t ~now ~force:true);
+      List.iter post (commit t ~now);
       part (P_snapshot r)
   | Q_drain { detail } ->
       if not t.draining then begin
         t.draining <- true;
         Online.drain t.online;
-        (match t.state_dir with
-        | None -> List.iter post (commit t ~now ~force:true)
-        | Some _ -> (
-            match do_snapshot t with
-            | Ok _ -> List.iter post (commit t ~now ~force:true)
-            | Error msg ->
-                Obs.Log.error ~component:"shard"
-                  ~fields:[ ("group", Obs.Json.Int t.group) ]
-                  "final snapshot failed: %s" msg;
-                List.iter post (commit t ~now ~force:true)))
+        (if t.state_dir <> None then
+           match do_snapshot t with
+           | Ok _ -> ()
+           | Error msg ->
+               Obs.Log.error ~component:"shard"
+                 ~fields:[ ("group", Obs.Json.Int t.group) ]
+                 "final snapshot failed: %s" msg);
+        List.iter post (commit t ~now)
       end;
       part (P_drain (drain_part t ~detail))
 
@@ -933,8 +908,8 @@ let publish_slo t ~now =
 
 (* One processing round: pull queued messages, feed at most
    [drain_batch] engine entries (control queries don't consume the
-   budget, matching the pre-sharding server), run the group-commit
-   policy, compact, re-evaluate overload.  Runs on the worker domain —
+   budget, matching the pre-sharding server), commit the round's
+   appends under one fsync, compact, re-evaluate overload.  Runs on the worker domain —
    or inline on the router thread when the daemon is single-shard. *)
 let pump w =
   List.iter (fun m -> Queue.push m w.w_backlog) (Mailbox.drain w.w_mb);
@@ -953,14 +928,12 @@ let pump w =
   done;
   List.iter
     (fun (_, sh) ->
-      List.iter w.w_post (commit sh ~now ~force:false);
-      (* automatic compaction once enough records accumulated — but not
-         while acks are held: the WAL reset below a held batch would
-         drop its buffered bytes before snapshot covers them *)
+      List.iter w.w_post (commit sh ~now);
+      (* automatic compaction once enough records accumulated; the commit
+         above emptied [held], so no WAL reset can outrun a held ack *)
       if
         sh.state_dir <> None && sh.snapshot_every > 0
         && sh.since_snapshot >= sh.snapshot_every
-        && sh.held_n = 0
       then (
         match do_snapshot sh with
         | Ok _ -> ()
@@ -980,18 +953,9 @@ let pump w =
     w.w_shards
 
 (* Seconds the worker may sleep before something needs it: 0 when work
-   is queued, else the nearest commit deadline, else a 1 s idle tick
-   (the overload detector recovers by observing calm). *)
-let wait_timeout w =
-  if not (Queue.is_empty w.w_backlog) then 0.
-  else
-    let now = Unix.gettimeofday () in
-    List.fold_left
-      (fun acc (_, sh) ->
-        match commit_deadline sh ~now with
-        | Some d -> Float.min acc d
-        | None -> acc)
-      1.0 w.w_shards
+   is queued, else a 1 s idle tick (the overload detector recovers by
+   observing calm). *)
+let wait_timeout w = if Queue.is_empty w.w_backlog then 1.0 else 0.
 
 let worker_loop w =
   (* own Chrome trace lane per worker domain; lane 1 is the router *)

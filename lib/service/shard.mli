@@ -5,7 +5,7 @@
     gives each group everything the pre-sharding server owned except the
     sockets: its own {!Online.t} engine over the group's induced
     sub-config, its own WAL segment, dedupe table, overload detector,
-    and group-commit buffer.  The router (Server) owns connections,
+    and held-ack buffer.  The router (Server) owns connections,
     parses lines, and routes each feed to its org's group; a {!worker}
     executes one or more groups, either on its own domain or inline on
     the router thread when the daemon is single-shard.
@@ -16,18 +16,16 @@
     connection/slot (feeds) or the gather (control queries) a completion
     belongs to.
 
-    {b Group commit.}  Acks of accepted feeds are {e held} until one
-    [fsync] covers the whole batch.  [commit_interval = 0] syncs every
-    pump (the pre-sharding behaviour: one fsync per select round); a
-    positive interval lets appends accumulate until the oldest held ack
-    is [commit_interval] seconds old or [commit_max] acks are held,
-    amortizing the fsync.  Durability is unchanged: no ack leaves the
-    shard before the fsync (or snapshot) covering its record succeeds,
-    so every acked submission still survives [kill -9]. *)
+    {b Commit.}  Acks of accepted feeds are {e held} until the end of
+    the pump, when one [fsync] covers every append the pump made:
+    whatever arrived during the previous fsync is batched into the next
+    one.  No ack leaves the shard before the fsync (or snapshot)
+    covering its record succeeds, so every acked submission survives
+    [kill -9]. *)
 
 (** A mutex-protected queue with a pipe for readiness, so the consumer
-    can [select] with a timeout (group-commit deadlines).  SPSC in the
-    daemon, safe for any number of producers. *)
+    can [select] with a timeout (the idle tick).  SPSC in the daemon,
+    safe for any number of producers. *)
 module Mailbox : sig
   type 'a t
 
@@ -112,8 +110,6 @@ val create :
   overload:Overload.config ->
   degrade_to:string option ->
   snapshot_every:int ->
-  commit_interval:float ->
-  commit_max:int ->
   unit ->
   ('tok t, string) result
 (** Recover the group's segment ([state_dir] is {e this segment's}
@@ -161,16 +157,16 @@ val post_msg : 'tok worker -> group:int -> 'tok msg -> unit
 
 val pump : 'tok worker -> unit
 (** One processing round: drain the mailbox, feed at most [drain_batch]
-    engine entries (control queries ride free, as before), run the
-    group-commit policy, compact if due, re-evaluate overload.  Called
+    engine entries (control queries ride free, as before), commit the
+    round's appends under one fsync, compact if due, re-evaluate
+    overload.  Called
     in a loop by {!start_worker}'s domain — or directly by the router
     when the daemon runs single-shard, preserving the pre-sharding
     single-threaded execution exactly. *)
 
 val wait_timeout : 'tok worker -> float
-(** Seconds the worker may sleep: 0 when work is backlogged, else the
-    nearest commit deadline, else a 1 s idle tick (overload recovery is
-    observed calm). *)
+(** Seconds the worker may sleep: 0 when work is backlogged, else a
+    1 s idle tick (overload recovery is observed calm). *)
 
 val start_worker : 'tok worker -> unit
 (** Spawn the worker's domain running [select]+{!pump}. *)

@@ -64,6 +64,7 @@ let test_invalid_flag_values () =
      spread instances across domains take --workers. *)
   check_error "simulate --workers 2" ~expect:"unknown option";
   check_error "serve --workers 2" ~expect:"unknown option";
+  check_error "serve --commit-interval 2" ~expect:"unknown option";
   check_error "simulate --horizon=oops" ~expect:"horizon"
 
 let test_malformed_fault_specs () =

@@ -661,7 +661,7 @@ let test_online_admission () =
    then terminate the child.  [f] gets the server's pid so crash tests
    can SIGKILL it. *)
 let with_server ?state_dir ?(queue_cap = 1024) ?(drain_batch = 256) ?shards
-    ?commit_interval ?chaos ~service addr f =
+    ?chaos ~service addr f =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
@@ -676,7 +676,7 @@ let with_server ?state_dir ?(queue_cap = 1024) ?(drain_batch = 256) ?shards
               Stdlib.exit 1));
       let cfg =
         Service.Server.make_config ?state_dir ~queue_cap ~drain_batch ?shards
-          ?commit_interval ~addr ~service ()
+          ~addr ~service ()
       in
       let ready () =
         ignore (Unix.write w (Bytes.of_string "R") 0 1);
@@ -1274,91 +1274,91 @@ let sharded_differential_qcheck =
         [ 1; 2; 4 ];
       true)
 
-(* Group commit: a pipelined burst is acked with far fewer fsyncs than
-   acks, and — the durability contract — everything acked before a
-   kill -9 is recovered from the per-group segments. *)
+(* Batched commit: a pipelined burst is acked with far fewer fsyncs than
+   acks (one fsync per pump covers every append the pump made), inline
+   and threaded alike, and — the durability contract — everything acked
+   before a kill -9 is recovered from the per-group segments. *)
 let test_group_commit_recovery () =
-  let@ dir = with_tmpdir in
-  let state_dir = Filename.concat dir "state" in
-  let service =
-    mk_config ~groups:2 ~machines:[| 2; 2 |] ~horizon:100_000 ()
-  in
-  let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
-  let n = 64 in
-  (let@ pid =
-     with_server ~state_dir ~shards:2 ~commit_interval:0.05 ~service addr
-   in
-   (* Pipeline the burst on a raw socket: one write, n acks. *)
-   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-   Unix.connect fd (Service.Addr.to_sockaddr addr);
-   let burst = Buffer.create 4096 in
-   for i = 1 to n do
-     Buffer.add_string burst
-       (Service.Protocol.request_to_line
-          (Service.Protocol.Submit
-             {
-               org = i land 1;
-               user = 0;
-               release = i;
-               size = 1;
-               cid = 0;
-               cseq = 0;
-               trace = 0;
-             }))
-   done;
-   let payload = Buffer.contents burst in
-   ignore (Unix.write_substring fd payload 0 (String.length payload));
-   let buf = Buffer.create 4096 in
-   let chunk = Bytes.create 4096 in
-   let count_lines () =
-     String.fold_left
-       (fun acc c -> if c = '\n' then acc + 1 else acc)
-       0 (Buffer.contents buf)
-   in
-   while count_lines () < n do
-     match Unix.read fd chunk 0 (Bytes.length chunk) with
-     | 0 -> Alcotest.fail "server closed mid-burst"
-     | k -> Buffer.add_subbytes buf chunk 0 k
-   done;
-   Unix.close fd;
-   String.split_on_char '\n' (Buffer.contents buf)
-   |> List.filter (fun l -> l <> "")
-   |> List.iter (fun line ->
-          match Service.Protocol.response_of_line line with
-          | Ok (Service.Protocol.Submit_ok _) -> ()
-          | _ -> Alcotest.failf "burst response not an ack: %s" line);
-   let client = connect_retry addr in
-   (match request_ok client Service.Protocol.Status with
-   | Service.Protocol.Status_ok st ->
-       Alcotest.(check int) "groups" 2 st.Service.Protocol.groups;
-       Alcotest.(check int) "shards" 2 st.Service.Protocol.shards;
-       Alcotest.(check int) "all acked" n st.Service.Protocol.accepted;
-       Alcotest.(check bool) "acks were fsynced" true
-         (st.Service.Protocol.fsyncs > 0);
-       Alcotest.(check bool)
-         (Printf.sprintf "group commit amortized (%d fsyncs / %d acks)"
-            st.Service.Protocol.fsyncs n)
-         true
-         (st.Service.Protocol.fsyncs < n)
-   | _ -> Alcotest.fail "status: unexpected response");
-   Service.Client.close client;
-   Unix.kill pid Sys.sigkill;
-   ignore (Unix.waitpid [] pid));
-  (* Second life: every acked submission must come back from the two
-     wal-<g>/ segments. *)
-  let@ _pid =
-    with_server ~state_dir ~shards:2 ~commit_interval:0.05 ~service addr
-  in
-  let client = connect_retry addr in
-  (match request_ok client Service.Protocol.Status with
-  | Service.Protocol.Status_ok st ->
-      Alcotest.(check int) "acked burst recovered" n
-        st.Service.Protocol.accepted
-  | _ -> Alcotest.fail "status: unexpected response");
-  (match request_ok client (Service.Protocol.Drain { detail = false }) with
-  | Service.Protocol.Drain_ok _ -> ()
-  | _ -> Alcotest.fail "drain: unexpected response");
-  Service.Client.close client
+  List.iter
+    (fun shards ->
+      let@ dir = with_tmpdir in
+      let state_dir = Filename.concat dir "state" in
+      let service =
+        mk_config ~groups:2 ~machines:[| 2; 2 |] ~horizon:100_000 ()
+      in
+      let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
+      let n = 64 in
+      (let@ pid = with_server ~state_dir ~shards ~service addr in
+       (* Pipeline the burst on a raw socket: one write, n acks. *)
+       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+       Unix.connect fd (Service.Addr.to_sockaddr addr);
+       let burst = Buffer.create 4096 in
+       for i = 1 to n do
+         Buffer.add_string burst
+           (Service.Protocol.request_to_line
+              (Service.Protocol.Submit
+                 {
+                   org = i land 1;
+                   user = 0;
+                   release = i;
+                   size = 1;
+                   cid = 0;
+                   cseq = 0;
+                   trace = 0;
+                 }))
+       done;
+       let payload = Buffer.contents burst in
+       ignore (Unix.write_substring fd payload 0 (String.length payload));
+       let buf = Buffer.create 4096 in
+       let chunk = Bytes.create 4096 in
+       let count_lines () =
+         String.fold_left
+           (fun acc c -> if c = '\n' then acc + 1 else acc)
+           0 (Buffer.contents buf)
+       in
+       while count_lines () < n do
+         match Unix.read fd chunk 0 (Bytes.length chunk) with
+         | 0 -> Alcotest.fail "server closed mid-burst"
+         | k -> Buffer.add_subbytes buf chunk 0 k
+       done;
+       Unix.close fd;
+       String.split_on_char '\n' (Buffer.contents buf)
+       |> List.filter (fun l -> l <> "")
+       |> List.iter (fun line ->
+              match Service.Protocol.response_of_line line with
+              | Ok (Service.Protocol.Submit_ok _) -> ()
+              | _ -> Alcotest.failf "burst response not an ack: %s" line);
+       let client = connect_retry addr in
+       (match request_ok client Service.Protocol.Status with
+       | Service.Protocol.Status_ok st ->
+           Alcotest.(check int) "groups" 2 st.Service.Protocol.groups;
+           Alcotest.(check int) "shards" shards st.Service.Protocol.shards;
+           Alcotest.(check int) "all acked" n st.Service.Protocol.accepted;
+           Alcotest.(check bool) "acks were fsynced" true
+             (st.Service.Protocol.fsyncs > 0);
+           Alcotest.(check bool)
+             (Printf.sprintf "shards=%d: fsyncs amortized (%d fsyncs / %d acks)"
+                shards st.Service.Protocol.fsyncs n)
+             true
+             (st.Service.Protocol.fsyncs < n)
+       | _ -> Alcotest.fail "status: unexpected response");
+       Service.Client.close client;
+       Unix.kill pid Sys.sigkill;
+       ignore (Unix.waitpid [] pid));
+      (* Second life: every acked submission must come back from the two
+         wal-<g>/ segments. *)
+      let@ _pid = with_server ~state_dir ~shards ~service addr in
+      let client = connect_retry addr in
+      (match request_ok client Service.Protocol.Status with
+      | Service.Protocol.Status_ok st ->
+          Alcotest.(check int) "acked burst recovered" n
+            st.Service.Protocol.accepted
+      | _ -> Alcotest.fail "status: unexpected response");
+      (match request_ok client (Service.Protocol.Drain { detail = false }) with
+      | Service.Protocol.Drain_ok _ -> ()
+      | _ -> Alcotest.fail "drain: unexpected response");
+      Service.Client.close client)
+    [ 1; 2 ]
 
 (* Fault isolation: a chaos plan targeting one segment's fsyncs
    (site prefix g1/) turns that group's submissions into wal-errors while

@@ -218,7 +218,7 @@ module Resilient = struct
             Ok t
         | Error _ as e -> e)
 
-  (* Stamp Submit/Fault with this connection's identity exactly once —
+  (* Stamp feeds with this connection's identity exactly once —
      before the first attempt — so every retransmission of the request
      carries the same (cid, cseq) and the server can deduplicate.  The
      trace id rides the same discipline: derived from the (cid, cseq)
@@ -227,29 +227,15 @@ module Resilient = struct
   let trace_of ~cid ~cseq = (cid lsl 20) lor (cseq land 0xFFFFF)
 
   let stamp c req =
-    match req with
-    | Protocol.Submit s when s.cid = 0 ->
+    match Protocol.feed_stamp req with
+    | Some (0, _, trace) ->
         c.next_cseq <- c.next_cseq + 1;
+        let cseq = c.next_cseq in
         let trace =
-          if s.trace = 0 then trace_of ~cid:c.r_cid ~cseq:c.next_cseq
-          else s.trace
+          if trace = 0 then trace_of ~cid:c.r_cid ~cseq else trace
         in
-        Protocol.Submit { s with cid = c.r_cid; cseq = c.next_cseq; trace }
-    | Protocol.Fault f when f.cid = 0 ->
-        c.next_cseq <- c.next_cseq + 1;
-        let trace =
-          if f.trace = 0 then trace_of ~cid:c.r_cid ~cseq:c.next_cseq
-          else f.trace
-        in
-        Protocol.Fault { f with cid = c.r_cid; cseq = c.next_cseq; trace }
-    | Protocol.Endow e when e.cid = 0 ->
-        c.next_cseq <- c.next_cseq + 1;
-        let trace =
-          if e.trace = 0 then trace_of ~cid:c.r_cid ~cseq:c.next_cseq
-          else e.trace
-        in
-        Protocol.Endow { e with cid = c.r_cid; cseq = c.next_cseq; trace }
-    | req -> req
+        Protocol.with_feed_stamp req ~cid:c.r_cid ~cseq ~trace
+    | Some _ | None -> req
 
   let call c req =
     let req = stamp c req in

@@ -204,6 +204,35 @@ let endow_event_of_json j =
       Ok (Federation.Event.Reclaim { org; machines })
   | k -> Error (Printf.sprintf "unknown endow kind %S" k)
 
+(* Fault events, shared the same way: kind fail|recover, machine. *)
+let fault_event_fields event =
+  let kind, machine =
+    match event with
+    | Faults.Event.Fail m -> ("fail", m)
+    | Faults.Event.Recover m -> ("recover", m)
+  in
+  [ ("kind", String kind); ("machine", Int machine) ]
+
+let fault_event_of_json j =
+  let* kind = string_field j "kind" in
+  let* machine = int_field j "machine" in
+  match kind with
+  | "fail" -> Ok (Faults.Event.Fail machine)
+  | "recover" -> Ok (Faults.Event.Recover machine)
+  | k -> Error (Printf.sprintf "unknown fault kind %S" k)
+
+(* Omitted when zero, so clients that do not opt into idempotent
+   retransmission (and logs written before it existed) produce the same
+   bytes as before the fields existed. *)
+let client_fields cid cseq =
+  if cid = 0 && cseq = 0 then []
+  else [ ("cid", Int cid); ("cseq", Int cseq) ]
+
+let client_of_json j =
+  let* cid = opt_int_field j "cid" ~default:0 in
+  let* cseq = opt_int_field j "cseq" ~default:0 in
+  Ok (cid, cseq)
+
 let summary_json (s : Obs.Metrics.summary) =
   Obj
     [
@@ -224,15 +253,23 @@ let summary_of_json j =
 
 (* --- Requests ----------------------------------------------------------- *)
 
-(* Omitted when zero, so clients that do not opt into idempotent
-   retransmission produce the same bytes as before the fields existed. *)
-let client_fields cid cseq =
-  if cid = 0 && cseq = 0 then []
-  else [ ("cid", Int cid); ("cseq", Int cseq) ]
-
 (* Same omitted-when-zero discipline as [client_fields]: requests without
    a trace id produce the same bytes as before the field existed. *)
 let trace_field trace = if trace = 0 then [] else [ ("trace", Int trace) ]
+
+let feed_stamp = function
+  | Submit { cid; cseq; trace; _ }
+  | Fault { cid; cseq; trace; _ }
+  | Endow { cid; cseq; trace; _ } ->
+      Some (cid, cseq, trace)
+  | Status | Psi | Snapshot | Drain _ | Metrics | Trace _ -> None
+
+let with_feed_stamp req ~cid ~cseq ~trace =
+  match req with
+  | Submit s -> Submit { s with cid; cseq; trace }
+  | Fault f -> Fault { f with cid; cseq; trace }
+  | Endow e -> Endow { e with cid; cseq; trace }
+  | Status | Psi | Snapshot | Drain _ | Metrics | Trace _ -> req
 
 let request_to_json = function
   | Submit { org; user; release; size; cid; cseq; trace } ->
@@ -246,18 +283,9 @@ let request_to_json = function
          ]
         @ client_fields cid cseq @ trace_field trace)
   | Fault { time; event; cid; cseq; trace } ->
-      let kind, machine =
-        match event with
-        | Faults.Event.Fail m -> ("fail", m)
-        | Faults.Event.Recover m -> ("recover", m)
-      in
       Obj
-        ([
-           ("op", String "fault");
-           ("time", Int time);
-           ("kind", String kind);
-           ("machine", Int machine);
-         ]
+        ((("op", String "fault") :: ("time", Int time)
+         :: fault_event_fields event)
         @ client_fields cid cseq @ trace_field trace)
   | Endow { time; event; cid; cseq; trace } ->
       Obj
@@ -281,29 +309,19 @@ let request_of_json j =
       let* user = opt_int_field j "user" ~default:0 in
       let* release = int_field j "release" in
       let* size = int_field j "size" in
-      let* cid = opt_int_field j "cid" ~default:0 in
-      let* cseq = opt_int_field j "cseq" ~default:0 in
+      let* cid, cseq = client_of_json j in
       let* trace = opt_int_field j "trace" ~default:0 in
       Ok (Submit { org; user; release; size; cid; cseq; trace })
   | "fault" ->
       let* time = int_field j "time" in
-      let* kind = string_field j "kind" in
-      let* machine = int_field j "machine" in
-      let* cid = opt_int_field j "cid" ~default:0 in
-      let* cseq = opt_int_field j "cseq" ~default:0 in
+      let* event = fault_event_of_json j in
+      let* cid, cseq = client_of_json j in
       let* trace = opt_int_field j "trace" ~default:0 in
-      let* event =
-        match kind with
-        | "fail" -> Ok (Faults.Event.Fail machine)
-        | "recover" -> Ok (Faults.Event.Recover machine)
-        | k -> Error (Printf.sprintf "unknown fault kind %S" k)
-      in
       Ok (Fault { time; event; cid; cseq; trace })
   | "endow" ->
       let* time = int_field j "time" in
       let* event = endow_event_of_json j in
-      let* cid = opt_int_field j "cid" ~default:0 in
-      let* cseq = opt_int_field j "cseq" ~default:0 in
+      let* cid, cseq = client_of_json j in
       let* trace = opt_int_field j "trace" ~default:0 in
       Ok (Endow { time; event; cid; cseq; trace })
   | "status" -> Ok Status

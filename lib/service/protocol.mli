@@ -135,13 +135,36 @@ type response =
 val error_code_to_string : error_code -> string
 val error_code_of_string : string -> error_code option
 
-(** {2 Endowment-event wire encoding}
+(** {2 Feed stamps}
 
-    Shared by the [endow] request and the WAL's [Endow] record so the
-    socket and the log cannot drift. *)
+    The client identity every feed request ([Submit]/[Fault]/[Endow])
+    carries, as [(cid, cseq, trace)]. *)
+
+val feed_stamp : request -> (int * int * int) option
+(** [None] for control requests. *)
+
+val with_feed_stamp : request -> cid:int -> cseq:int -> trace:int -> request
+(** Replace a feed request's stamp; control requests come back unchanged. *)
+
+(** {2 Event and client-field wire encoding}
+
+    Shared by the feed requests and the WAL's records so the socket and
+    the log cannot drift. *)
 
 val endow_event_fields : Federation.Event.t -> (string * Obs.Json.t) list
 val endow_event_of_json : Obs.Json.t -> (Federation.Event.t, string) result
+
+val fault_event_fields : Faults.Event.t -> (string * Obs.Json.t) list
+(** ["kind"] fail|recover, ["machine"]. *)
+
+val fault_event_of_json : Obs.Json.t -> (Faults.Event.t, string) result
+
+val client_fields : int -> int -> (string * Obs.Json.t) list
+(** [client_fields cid cseq]: both omitted when both are 0, so anonymous
+    feeds keep the bytes they had before idempotent retransmission. *)
+
+val client_of_json : Obs.Json.t -> (int * int, string) result
+(** [(cid, cseq)], each 0 when absent. *)
 
 (** {2 Requests} *)
 

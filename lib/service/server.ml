@@ -88,12 +88,6 @@ let emit conn resp =
   if not conn.closed then
     Buffer.add_string conn.out (Protocol.response_to_line resp)
 
-let is_feed = function
-  | Protocol.Submit _ | Protocol.Fault _ | Protocol.Endow _ -> true
-  | Protocol.Status | Protocol.Psi | Protocol.Snapshot | Protocol.Drain _
-  | Protocol.Metrics | Protocol.Trace _ ->
-      false
-
 let take_slot conn =
   let s = conn.next_slot in
   conn.next_slot <- s + 1;
@@ -357,12 +351,9 @@ let route_feed s conn slot req ~now =
            owning shard's [shard.feed] span on its own lane. *)
         (if Obs.Trace.enabled () then
            let trace =
-             match req with
-             | Protocol.Submit { trace; _ }
-             | Protocol.Fault { trace; _ }
-             | Protocol.Endow { trace; _ } ->
-                 trace
-             | _ -> 0
+             match Protocol.feed_stamp req with
+             | Some (_, _, tr) -> tr
+             | None -> 0
            in
            let args =
              ("group", Obs.Json.Int grp)
@@ -376,41 +367,40 @@ let route_feed s conn slot req ~now =
 
 let route_request s conn req ~now =
   let slot = take_slot conn in
-  if is_feed req then route_feed s conn slot req ~now
-  else
-    match req with
-    | Protocol.Status ->
-        start_gather s ~conn:(Some conn) ~slot `Status Shard.Q_status
-    | Protocol.Psi -> start_gather s ~conn:(Some conn) ~slot `Psi Shard.Q_psi
-    | Protocol.Snapshot ->
-        if s.cfg.state_dir = None then
-          deliver conn slot
-            (Protocol.Error
-               {
-                 code = Protocol.Unsupported;
-                 msg = "no state directory (daemon is ephemeral)";
-                 retry_after_ms = None;
-               })
-        else start_gather s ~conn:(Some conn) ~slot `Snapshot Shard.Q_snapshot
-    | Protocol.Drain { detail } ->
-        s.draining <- true;
-        start_gather s ~conn:(Some conn) ~slot `Drain
-          (Shard.Q_drain { detail })
-    (* Live scrapes answered on the router thread: the metrics registry
-       and trace rings are process-global, so no shard round-trip is
-       needed — the snapshot merges every domain's cells as-is. *)
-    | Protocol.Metrics ->
-        deliver conn slot (Protocol.Metrics_ok { metrics = Obs.Metrics.to_json () })
-    | Protocol.Trace { limit } ->
-        let events = List.length (Obs.Trace.events ()) in
+  match req with
+  | Protocol.Submit _ | Protocol.Fault _ | Protocol.Endow _ ->
+      route_feed s conn slot req ~now
+  | Protocol.Status ->
+      start_gather s ~conn:(Some conn) ~slot `Status Shard.Q_status
+  | Protocol.Psi -> start_gather s ~conn:(Some conn) ~slot `Psi Shard.Q_psi
+  | Protocol.Snapshot ->
+      if s.cfg.state_dir = None then
         deliver conn slot
-          (Protocol.Trace_ok
+          (Protocol.Error
              {
-               events = min events limit;
-               dropped = Obs.Trace.dropped ();
-               trace = Obs.Trace.to_json ~limit ();
+               code = Protocol.Unsupported;
+               msg = "no state directory (daemon is ephemeral)";
+               retry_after_ms = None;
              })
-    | Protocol.Submit _ | Protocol.Fault _ | Protocol.Endow _ -> assert false
+      else start_gather s ~conn:(Some conn) ~slot `Snapshot Shard.Q_snapshot
+  | Protocol.Drain { detail } ->
+      s.draining <- true;
+      start_gather s ~conn:(Some conn) ~slot `Drain
+        (Shard.Q_drain { detail })
+  (* Live scrapes answered on the router thread: the metrics registry
+     and trace rings are process-global, so no shard round-trip is
+     needed — the snapshot merges every domain's cells as-is. *)
+  | Protocol.Metrics ->
+      deliver conn slot (Protocol.Metrics_ok { metrics = Obs.Metrics.to_json () })
+  | Protocol.Trace { limit } ->
+      let events = List.length (Obs.Trace.events ()) in
+      deliver conn slot
+        (Protocol.Trace_ok
+           {
+             events = min events limit;
+             dropped = Obs.Trace.dropped ();
+             trace = Obs.Trace.to_json ~limit ();
+           })
 
 let enqueue_line s conn line =
   let now = Unix.gettimeofday () in

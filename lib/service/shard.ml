@@ -187,90 +187,87 @@ let depth_incr t = Atomic.incr t.depth
 let published_overloaded t = Atomic.get t.pub_overloaded
 let published_retry_ms t = Atomic.get t.pub_retry_ms
 
-(* --- Global<->local translation ------------------------------------------ *)
+(* --- Records meet the engine ------------------------------------------------
+   Records carry global org/machine ids; the group engine speaks local
+   ones.  The router guarantees every org and machine a feed names lives
+   in this group (cross-group endows are rejected at admission), so the
+   translation is total. *)
 
-let local_event t = function
-  | Faults.Event.Fail m -> Faults.Event.Fail (Partition.local_machine t.part m)
+let local_fault part = function
+  | Faults.Event.Fail m -> Faults.Event.Fail (Partition.local_machine part m)
   | Faults.Event.Recover m ->
-      Faults.Event.Recover (Partition.local_machine t.part m)
+      Faults.Event.Recover (Partition.local_machine part m)
 
-(* Endowment events arrive under global ids; the engine speaks the
-   group's local ones.  The router guarantees every org and machine the
-   event names lives in this group (cross-group endows are rejected at
-   admission), so the translation is total. *)
-let local_endow_event ~part event =
+let local_endow part event =
   let lorg o = Partition.local_org part o in
   let lmachs ms = List.map (Partition.local_machine part) ms in
   match event with
   | Federation.Event.Join { org; machines } ->
       Federation.Event.Join { org = lorg org; machines = lmachs machines }
-  | Federation.Event.Leave { org } ->
-      Federation.Event.Leave { org = lorg org }
+  | Federation.Event.Leave { org } -> Federation.Event.Leave { org = lorg org }
   | Federation.Event.Lend { org; to_org; machines } ->
       Federation.Event.Lend
         { org = lorg org; to_org = lorg to_org; machines = lmachs machines }
   | Federation.Event.Reclaim { org; machines } ->
       Federation.Event.Reclaim { org = lorg org; machines = lmachs machines }
 
-(* --- Replay (recovery and estimator switches) ----------------------------
-   Records carry global org/machine ids; feeding the group engine
-   translates them.  [Mode] records are skipped (they describe estimator
-   switches, not engine input); [dedupe], when given, is rebuilt
-   alongside — the cached acks of a deterministic replay are identical
-   to the originals. *)
-let replay ?dedupe ~part online records =
-  let lorg o = Partition.local_org part o in
-  let levent = function
-    | Faults.Event.Fail m -> Faults.Event.Fail (Partition.local_machine part m)
-    | Faults.Event.Recover m ->
-        Faults.Event.Recover (Partition.local_machine part m)
-  in
-  let rec go = function
-    | [] -> Ok ()
-    | Wal.Submit { seq; org; user; release; size; cid; cseq } :: rest -> (
-        match Online.submit online ~org:(lorg org) ~user ~size ~release () with
-        | Ok index ->
-            (match dedupe with
-            | Some tbl when cid <> 0 && cseq > 0 ->
-                Hashtbl.replace tbl cid
-                  ( cseq,
-                    Protocol.Submit_ok
-                      { seq; org; index; now = Online.now online } )
-            | Some _ | None -> ());
-            go rest
-        | Error e ->
-            Error
-              (Printf.sprintf "replay: record %d rejected: %s" seq
-                 (Online.error_to_string e)))
-    | Wal.Fault { seq; time; event; cid; cseq } :: rest -> (
-        match Online.fault online ~time (levent event) with
-        | Ok () ->
-            (match dedupe with
-            | Some tbl when cid <> 0 && cseq > 0 ->
-                Hashtbl.replace tbl cid
-                  (cseq, Protocol.Fault_ok { seq; now = Online.now online })
-            | Some _ | None -> ());
-            go rest
-        | Error e ->
-            Error
-              (Printf.sprintf "replay: record %d rejected: %s" seq
-                 (Online.error_to_string e)))
-    | Wal.Endow { seq; time; event; cid; cseq } :: rest -> (
-        match Online.endow online ~time (local_endow_event ~part event) with
-        | Ok () ->
-            (match dedupe with
-            | Some tbl when cid <> 0 && cseq > 0 ->
-                Hashtbl.replace tbl cid
-                  (cseq, Protocol.Endow_ok { seq; now = Online.now online })
-            | Some _ | None -> ());
-            go rest
-        | Error e ->
-            Error
-              (Printf.sprintf "replay: record %d rejected: %s" seq
-                 (Online.error_to_string e)))
-    | Wal.Mode _ :: rest -> go rest
-  in
-  go records
+(* Validation only: would [apply] accept the record?  The live feed asks
+   before logging, so the WAL never holds a record replay would reject. *)
+let check ~part online = function
+  | Wal.Submit { org; size; release; _ } ->
+      Online.check_submit online ~org:(Partition.local_org part org) ~size
+        ~release
+  | Wal.Fault { time; event; _ } ->
+      Online.check_fault online ~time (local_fault part event)
+  | Wal.Endow { time; event; _ } ->
+      Online.check_endow online ~time (local_endow part event)
+  | Wal.Mode _ -> Ok ()
+
+(* A stamped ack is cached for at-most-once retransmission. *)
+let acked dedupe ~cid ~cseq resp =
+  (match dedupe with
+  | Some tbl when cid <> 0 && cseq > 0 -> Hashtbl.replace tbl cid (cseq, resp)
+  | Some _ | None -> ());
+  Ok (Some resp)
+
+(* Feed one record to the engine and build the ack it earns, cached in
+   [dedupe] when given.  The live feed and replay (recovery, estimator
+   switches) both come here, so a dedupe entry rebuilt from the log
+   equals the live ack by construction.  [Mode] records describe
+   estimator switches, not engine input: no ack. *)
+let apply ?dedupe ~part online = function
+  | Wal.Submit { seq; org; user; release; size; cid; cseq } -> (
+      match
+        Online.submit online ~org:(Partition.local_org part org) ~user ~size
+          ~release ()
+      with
+      | Ok index ->
+          acked dedupe ~cid ~cseq
+            (Protocol.Submit_ok { seq; org; index; now = Online.now online })
+      | Error e -> Error e)
+  | Wal.Fault { seq; time; event; cid; cseq } -> (
+      match Online.fault online ~time (local_fault part event) with
+      | Ok () ->
+          acked dedupe ~cid ~cseq
+            (Protocol.Fault_ok { seq; now = Online.now online })
+      | Error e -> Error e)
+  | Wal.Endow { seq; time; event; cid; cseq } -> (
+      match Online.endow online ~time (local_endow part event) with
+      | Ok () ->
+          acked dedupe ~cid ~cseq
+            (Protocol.Endow_ok { seq; now = Online.now online })
+      | Error e -> Error e)
+  | Wal.Mode _ -> Ok None
+
+let rec replay ?dedupe ~part online = function
+  | [] -> Ok ()
+  | r :: rest -> (
+      match apply ?dedupe ~part online r with
+      | Ok _ -> replay ?dedupe ~part online rest
+      | Error e ->
+          Error
+            (Printf.sprintf "replay: record %d rejected: %s" (Wal.seq_of r)
+               (Online.error_to_string e)))
 
 (* The estimator a record list leaves the shard in: the last Mode record
    wins, the base algorithm otherwise. *)
@@ -517,16 +514,6 @@ let code_of_online_error = function
   | Online.Drained -> Protocol.Draining
   | _ -> Protocol.Bad_request
 
-let observe_and_post t ~post ~now ~t_enq tok resp =
-  Overload.observe_ack t.detector ~latency_ms:((now -. t_enq) *. 1000.);
-  Obs.Metrics.incr m_acks;
-  post (Ack { tok; resp })
-
-let reject t ~post ~now ~t_enq ?retry_after_ms tok code msg =
-  t.rejected <- t.rejected + 1;
-  observe_and_post t ~post ~now ~t_enq tok
-    (Protocol.Error { code; msg; retry_after_ms })
-
 (* At-most-once retransmission.  A feed carrying the (cid, cseq) of an
    already-applied one is answered from the cache — held like a fresh
    ack, so a cached OK is still gated on the commit that covers the
@@ -542,138 +529,53 @@ let dedupe_hit t ~cid ~cseq =
     | Some (last, _) when cseq < last && cseq > 0 -> Some (`Stale last)
     | Some _ | None -> None
 
-let remember t ~cid ~cseq resp =
-  if cid <> 0 && cseq > 0 then Hashtbl.replace t.dedupe cid (cseq, resp)
+(* Log an accepted record: WAL buffer, in-memory history, sequence. *)
+let log t record =
+  t.seq <- Wal.seq_of record;
+  Option.iter (fun w -> Wal.append w record) t.writer;
+  t.records_rev <- record :: t.records_rev;
+  t.since_snapshot <- t.since_snapshot + 1
 
+(* dedupe -> drain gate -> check -> log -> apply -> hold.  Errors are
+   answered at once: no record, nothing to wait for. *)
 let feed_inner t ~post ~now tok (req : Protocol.request) ~t_enq =
-  match req with
-  | Protocol.Submit { org; user; release; size; cid; cseq; trace = _ } -> (
-      match dedupe_hit t ~cid ~cseq with
-      | Some (`Cached resp) -> hold t tok resp t_enq
-      | Some (`Stale last) ->
-          reject t ~post ~now ~t_enq tok Protocol.Bad_request
-            (Printf.sprintf "stale cseq %d (last applied %d)" cseq last)
-      | None -> (
-          if t.draining then
-            reject t ~post ~now ~t_enq tok Protocol.Draining
-              "daemon is draining"
-          else
-            let lorg = Partition.local_org t.part org in
-            match Online.check_submit t.online ~org:lorg ~size ~release with
-            | Error e ->
-                reject t ~post ~now ~t_enq tok (code_of_online_error e)
-                  (Online.error_to_string e)
-            | Ok () -> (
-                let seq = t.seq + 1 in
-                t.seq <- seq;
-                let record =
-                  Wal.Submit { seq; org; user; release; size; cid; cseq }
-                in
-                Option.iter (fun w -> Wal.append w record) t.writer;
-                t.records_rev <- record :: t.records_rev;
-                t.accepted <- t.accepted + 1;
-                t.since_snapshot <- t.since_snapshot + 1;
-                match
-                  Online.submit t.online ~org:lorg ~user ~size ~release ()
-                with
-                | Ok index ->
-                    let resp =
-                      Protocol.Submit_ok
-                        { seq; org; index; now = Online.now t.online }
-                    in
-                    remember t ~cid ~cseq resp;
-                    hold t tok resp t_enq
-                | Error e ->
-                    (* unreachable after check_submit; fail loudly *)
-                    observe_and_post t ~post ~now ~t_enq tok
-                      (Protocol.Error
-                         {
-                           code = Protocol.Bad_request;
-                           msg = Online.error_to_string e;
-                           retry_after_ms = None;
-                         }))))
-  | Protocol.Fault { time; event; cid; cseq; trace = _ } -> (
-      match dedupe_hit t ~cid ~cseq with
-      | Some (`Cached resp) -> hold t tok resp t_enq
-      | Some (`Stale last) ->
-          reject t ~post ~now ~t_enq tok Protocol.Bad_request
-            (Printf.sprintf "stale cseq %d (last applied %d)" cseq last)
-      | None -> (
-          if t.draining then
-            reject t ~post ~now ~t_enq tok Protocol.Draining
-              "daemon is draining"
-          else
-            let lev = local_event t event in
-            match Online.check_fault t.online ~time lev with
-            | Error e ->
-                reject t ~post ~now ~t_enq tok (code_of_online_error e)
-                  (Online.error_to_string e)
-            | Ok () -> (
-                let seq = t.seq + 1 in
-                t.seq <- seq;
-                let record = Wal.Fault { seq; time; event; cid; cseq } in
-                Option.iter (fun w -> Wal.append w record) t.writer;
-                t.records_rev <- record :: t.records_rev;
-                t.accepted <- t.accepted + 1;
-                t.since_snapshot <- t.since_snapshot + 1;
-                match Online.fault t.online ~time lev with
-                | Ok () ->
-                    let resp =
-                      Protocol.Fault_ok { seq; now = Online.now t.online }
-                    in
-                    remember t ~cid ~cseq resp;
-                    hold t tok resp t_enq
-                | Error e ->
-                    observe_and_post t ~post ~now ~t_enq tok
-                      (Protocol.Error
-                         {
-                           code = Protocol.Bad_request;
-                           msg = Online.error_to_string e;
-                           retry_after_ms = None;
-                         }))))
-  | Protocol.Endow { time; event; cid; cseq; trace = _ } -> (
-      match dedupe_hit t ~cid ~cseq with
-      | Some (`Cached resp) -> hold t tok resp t_enq
-      | Some (`Stale last) ->
-          reject t ~post ~now ~t_enq tok Protocol.Bad_request
-            (Printf.sprintf "stale cseq %d (last applied %d)" cseq last)
-      | None -> (
-          if t.draining then
-            reject t ~post ~now ~t_enq tok Protocol.Draining
-              "daemon is draining"
-          else
-            let lev = local_endow_event ~part:t.part event in
-            match Online.check_endow t.online ~time lev with
-            | Error e ->
-                reject t ~post ~now ~t_enq tok (code_of_online_error e)
-                  (Online.error_to_string e)
-            | Ok () -> (
-                let seq = t.seq + 1 in
-                t.seq <- seq;
-                let record = Wal.Endow { seq; time; event; cid; cseq } in
-                Option.iter (fun w -> Wal.append w record) t.writer;
-                t.records_rev <- record :: t.records_rev;
-                t.accepted <- t.accepted + 1;
-                t.since_snapshot <- t.since_snapshot + 1;
-                match Online.endow t.online ~time lev with
-                | Ok () ->
-                    let resp =
-                      Protocol.Endow_ok { seq; now = Online.now t.online }
-                    in
-                    remember t ~cid ~cseq resp;
-                    hold t tok resp t_enq
-                | Error e ->
-                    observe_and_post t ~post ~now ~t_enq tok
-                      (Protocol.Error
-                         {
-                           code = Protocol.Bad_request;
-                           msg = Online.error_to_string e;
-                           retry_after_ms = None;
-                         }))))
-  | Protocol.Status | Protocol.Psi | Protocol.Snapshot | Protocol.Drain _
-  | Protocol.Metrics | Protocol.Trace _ ->
+  let answer code msg =
+    Overload.observe_ack t.detector ~latency_ms:((now -. t_enq) *. 1000.);
+    Obs.Metrics.incr m_acks;
+    post
+      (Ack { tok; resp = Protocol.Error { code; msg; retry_after_ms = None } })
+  in
+  let reject code msg =
+    t.rejected <- t.rejected + 1;
+    answer code msg
+  in
+  match
+    (Protocol.feed_stamp req, Wal.record_of_request ~seq:(t.seq + 1) req)
+  with
+  | None, _ | _, None ->
       (* control requests travel as [Query], never as [Feed] *)
       assert false
+  | Some (cid, cseq, _), Some record -> (
+      match dedupe_hit t ~cid ~cseq with
+      | Some (`Cached resp) -> hold t tok resp t_enq
+      | Some (`Stale last) ->
+          reject Protocol.Bad_request
+            (Printf.sprintf "stale cseq %d (last applied %d)" cseq last)
+      | None -> (
+          if t.draining then reject Protocol.Draining "daemon is draining"
+          else
+            match check ~part:t.part t.online record with
+            | Error e ->
+                reject (code_of_online_error e) (Online.error_to_string e)
+            | Ok () -> (
+                log t record;
+                t.accepted <- t.accepted + 1;
+                match apply ~dedupe:t.dedupe ~part:t.part t.online record with
+                | Ok (Some resp) -> hold t tok resp t_enq
+                | Ok None -> assert false (* requests never build [Mode] *)
+                | Error e ->
+                    (* unreachable after check; fail loudly *)
+                    answer Protocol.Bad_request (Online.error_to_string e))))
 
 (* The shard-side leg of a request's trace: the feed runs inside a span
    on the worker domain carrying the client-issued trace id, so the
@@ -683,12 +585,7 @@ let feed t ~post ~now tok (req : Protocol.request) ~t_enq =
   if not (Obs.Trace.enabled ()) then feed_inner t ~post ~now tok req ~t_enq
   else begin
     let trace_id =
-      match req with
-      | Protocol.Submit { trace; _ }
-      | Protocol.Fault { trace; _ }
-      | Protocol.Endow { trace; _ } ->
-          trace
-      | _ -> 0
+      match Protocol.feed_stamp req with Some (_, _, tr) -> tr | None -> 0
     in
     let args =
       ("group", Obs.Json.Int t.group)
@@ -778,12 +675,7 @@ let query t ~post ~now tok q =
    crash at any point around the switch stays bit-identical. *)
 
 let switch_estimator t spec =
-  let seq = t.seq + 1 in
-  t.seq <- seq;
-  let record = Wal.Mode { seq; estimator = spec } in
-  Option.iter (fun w -> Wal.append w record) t.writer;
-  t.records_rev <- record :: t.records_rev;
-  t.since_snapshot <- t.since_snapshot + 1;
+  log t (Wal.Mode { seq = t.seq + 1; estimator = spec });
   let online = Online.create { t.sub with Config.algorithm = spec } in
   match replay ~part:t.part online (List.rev t.records_rev) with
   | Ok () ->

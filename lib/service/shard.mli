@@ -21,7 +21,13 @@
     whatever arrived during the previous fsync is batched into the next
     one.  No ack leaves the shard before the fsync (or snapshot)
     covering its record succeeds, so every acked submission survives
-    [kill -9]. *)
+    [kill -9].
+
+    {b One feed path.}  A feed becomes its WAL record, is checked, logged
+    and then applied to the engine by one function that also builds the
+    ack.  Boot recovery and [--degrade] estimator switches replay the log
+    through that same function, so the rebuilt dedupe table holds exactly
+    the acks the live daemon sent. *)
 
 (** A mutex-protected queue with a pipe for readiness, so the consumer
     can [select] with a timeout (the idle tick).  SPSC in the daemon,

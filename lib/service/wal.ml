@@ -27,16 +27,23 @@ let is_feed = function
   | Submit _ | Fault _ | Endow _ -> true
   | Mode _ -> false
 
+let record_of_request ~seq = function
+  | Protocol.Submit { org; user; release; size; cid; cseq; trace = _ } ->
+      Some (Submit { seq; org; user; release; size; cid; cseq })
+  | Protocol.Fault { time; event; cid; cseq; trace = _ } ->
+      Some (Fault { seq; time; event; cid; cseq })
+  | Protocol.Endow { time; event; cid; cseq; trace = _ } ->
+      Some (Endow { seq; time; event; cid; cseq })
+  | Protocol.Status | Protocol.Psi | Protocol.Snapshot | Protocol.Drain _
+  | Protocol.Metrics | Protocol.Trace _ ->
+      None
+
 open Obs.Json
 
 let ( let* ) = Result.bind
 
-(* cid/cseq are omitted when zero so logs written before idempotent
-   retransmission existed (and anonymous clients) stay byte-compatible. *)
-let client_fields cid cseq =
-  if cid = 0 && cseq = 0 then []
-  else [ ("cid", Int cid); ("cseq", Int cseq) ]
-
+(* Event and cid/cseq encodings are Protocol's, so the log holds exactly
+   what was fed over the socket. *)
 let record_to_json = function
   | Submit { seq; org; user; release; size; cid; cseq } ->
       Obj
@@ -48,29 +55,17 @@ let record_to_json = function
            ("release", Int release);
            ("size", Int size);
          ]
-        @ client_fields cid cseq)
+        @ Protocol.client_fields cid cseq)
   | Fault { seq; time; event; cid; cseq } ->
-      let kind, machine =
-        match event with
-        | Faults.Event.Fail m -> ("fail", m)
-        | Faults.Event.Recover m -> ("recover", m)
-      in
       Obj
-        ([
-           ("rec", String "fault");
-           ("seq", Int seq);
-           ("time", Int time);
-           ("kind", String kind);
-           ("machine", Int machine);
-         ]
-        @ client_fields cid cseq)
+        ((("rec", String "fault") :: ("seq", Int seq) :: ("time", Int time)
+         :: Protocol.fault_event_fields event)
+        @ Protocol.client_fields cid cseq)
   | Endow { seq; time; event; cid; cseq } ->
-      (* Same event encoding as the socket (Protocol.endow_event_fields)
-         so the log replays exactly what was fed. *)
       Obj
         ((("rec", String "endow") :: ("seq", Int seq) :: ("time", Int time)
          :: Protocol.endow_event_fields event)
-        @ client_fields cid cseq)
+        @ Protocol.client_fields cid cseq)
   | Mode { seq; estimator } ->
       Obj
         [
@@ -85,12 +80,6 @@ let int_field j name =
   | Some _ -> Error (Printf.sprintf "WAL field %S must be an integer" name)
   | None -> Error (Printf.sprintf "WAL field %S missing" name)
 
-let opt_int_field j name ~default =
-  match member j name with
-  | Some (Int v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "WAL field %S must be an integer" name)
-  | None -> Ok default
-
 let record_of_json j =
   match member j "rec" with
   | Some (String "submit") ->
@@ -99,28 +88,19 @@ let record_of_json j =
       let* user = int_field j "user" in
       let* release = int_field j "release" in
       let* size = int_field j "size" in
-      let* cid = opt_int_field j "cid" ~default:0 in
-      let* cseq = opt_int_field j "cseq" ~default:0 in
+      let* cid, cseq = Protocol.client_of_json j in
       Ok (Submit { seq; org; user; release; size; cid; cseq })
   | Some (String "fault") ->
       let* seq = int_field j "seq" in
       let* time = int_field j "time" in
-      let* machine = int_field j "machine" in
-      let* cid = opt_int_field j "cid" ~default:0 in
-      let* cseq = opt_int_field j "cseq" ~default:0 in
-      let* event =
-        match member j "kind" with
-        | Some (String "fail") -> Ok (Faults.Event.Fail machine)
-        | Some (String "recover") -> Ok (Faults.Event.Recover machine)
-        | _ -> Error "WAL field \"kind\" must be \"fail\" or \"recover\""
-      in
+      let* event = Protocol.fault_event_of_json j in
+      let* cid, cseq = Protocol.client_of_json j in
       Ok (Fault { seq; time; event; cid; cseq })
   | Some (String "endow") ->
       let* seq = int_field j "seq" in
       let* time = int_field j "time" in
       let* event = Protocol.endow_event_of_json j in
-      let* cid = opt_int_field j "cid" ~default:0 in
-      let* cseq = opt_int_field j "cseq" ~default:0 in
+      let* cid, cseq = Protocol.client_of_json j in
       Ok (Endow { seq; time; event; cid; cseq })
   | Some (String "mode") ->
       let* seq = int_field j "seq" in

@@ -77,6 +77,10 @@ val is_feed : record -> bool
 (** [Submit]/[Fault]/[Endow] — records that feed the engine (a [Mode]
     switch does not count toward accepted submissions). *)
 
+val record_of_request : seq:int -> Protocol.request -> record option
+(** The record a feed request is logged as at sequence [seq] (its trace
+    id is not logged); [None] for control requests. *)
+
 val wal_path : dir:string -> string
 val snapshot_path : dir:string -> string
 

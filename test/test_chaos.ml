@@ -7,25 +7,7 @@
 
 let ( let@ ) f x = f x
 
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-chaos-test-%d-%d" (Unix.getpid ())
-         (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm path =
-        if Sys.is_directory path then begin
-          Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-      in
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
+let with_tmpdir = Support.with_tmpdir
 
 (* --- Plan language ----------------------------------------------------------- *)
 

@@ -3,6 +3,7 @@
    contract, backpressure, and crash recovery with a real kill -9. *)
 
 let ( let@ ) f x = f x
+let with_tmpdir = Support.with_tmpdir
 
 (* --- Config ----------------------------------------------------------------- *)
 
@@ -117,6 +118,29 @@ let test_protocol_requests () =
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ()
 
+(* Fixed wire bytes, one line per feed kind with and without the optional
+   client fields.  Round-tripping a value cannot catch a field renamed in
+   both encoder and decoder; decoding these lines and re-encoding them
+   byte for byte can. *)
+let test_protocol_golden () =
+  List.iter
+    (fun line ->
+      match Service.Protocol.request_of_line line with
+      | Ok r ->
+          Alcotest.(check string) line (line ^ "\n")
+            (Service.Protocol.request_to_line r)
+      | Error msg -> Alcotest.failf "%s: %s" line msg)
+    [
+      {|{"op":"submit","org":1,"user":3,"release":5,"size":2}|};
+      {|{"op":"submit","org":1,"user":3,"release":5,"size":2,"cid":71,"cseq":4,"trace":9}|};
+      {|{"op":"fault","time":9,"kind":"fail","machine":2}|};
+      {|{"op":"fault","time":12,"kind":"recover","machine":2,"cid":3,"cseq":9,"trace":5}|};
+      {|{"op":"endow","time":4,"kind":"join","org":1}|};
+      {|{"op":"endow","time":5,"kind":"leave","org":2,"cid":8,"cseq":1}|};
+      {|{"op":"endow","time":6,"kind":"lend","org":0,"to_org":1,"machines":[0,1],"cid":8,"cseq":2,"trace":3}|};
+      {|{"op":"endow","time":7,"kind":"reclaim","org":0,"machines":[1]}|};
+    ]
+
 let test_protocol_responses () =
   let roundtrip r =
     let line = Service.Protocol.response_to_line r in
@@ -184,25 +208,6 @@ let test_protocol_responses () =
 
 (* --- WAL -------------------------------------------------------------------- *)
 
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-test-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm path =
-        if Sys.is_directory path then begin
-          Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-      in
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
 let sample_records =
   [
     Service.Wal.Submit
@@ -241,6 +246,29 @@ let test_wal_roundtrip () =
         "records recovered" true
         (r.Service.Wal.r_records = sample_records);
       Alcotest.(check int) "last seq" 4 r.Service.Wal.r_last_seq
+
+(* Fixed on-disk bytes, one line per record kind with and without the
+   optional client fields: existing state dirs hold exactly these lines,
+   so each must decode and re-encode byte for byte. *)
+let test_wal_golden () =
+  List.iter
+    (fun line ->
+      match
+        Result.bind (Obs.Json.of_string line) Service.Wal.record_of_json
+      with
+      | Ok r ->
+          Alcotest.(check string) line line
+            (Obs.Json.to_string (Service.Wal.record_to_json r))
+      | Error msg -> Alcotest.failf "%s: %s" line msg)
+    [
+      {|{"rec":"submit","seq":1,"org":0,"user":2,"release":0,"size":3}|};
+      {|{"rec":"submit","seq":3,"org":1,"user":0,"release":2,"size":1,"cid":12,"cseq":2}|};
+      {|{"rec":"fault","seq":2,"time":1,"kind":"fail","machine":0}|};
+      {|{"rec":"fault","seq":4,"time":3,"kind":"recover","machine":0,"cid":12,"cseq":3}|};
+      {|{"rec":"endow","seq":5,"time":4,"kind":"join","org":1,"machines":[2,3]}|};
+      {|{"rec":"endow","seq":6,"time":5,"kind":"lend","org":0,"to_org":1,"machines":[1],"cid":9,"cseq":1}|};
+      {|{"rec":"mode","seq":7,"estimator":"rand:0.1,0.95"}|};
+    ]
 
 let test_wal_torn_tail () =
   let@ dir = with_tmpdir in
@@ -909,50 +937,92 @@ let test_backpressure () =
 (* At-most-once retransmission: a (cid, cseq)-stamped feed re-sent after
    its ack was lost must come back from the dedupe cache — applied once,
    counted once — and the table must survive a kill -9 (it is rebuilt
-   from the WAL). *)
+   from the WAL): every feed kind's retransmission then gets exactly the
+   pre-crash ack, [seq] and [now] included. *)
 let test_dedupe () =
   let@ dir = with_tmpdir in
   let state_dir = Filename.concat dir "state" in
-  let service = mk_config ~machines:[| 2; 2 |] ~horizon:100_000 () in
+  let service =
+    match
+      Service.Config.make ~federated:true ~machines:[| 2; 2 |]
+        ~horizon:100_000 ~algorithm:"fifo" ~seed:7 ()
+    with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "config rejected: %s" msg
+  in
   let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
   let submit client ~release ~cseq =
     request_ok client
       (Service.Protocol.Submit
          { org = 0; user = 0; release; size = 1; cid = 7; cseq; trace = 0 })
   in
-  (let@ pid = with_server ~state_dir ~service addr in
-   let client = connect_retry addr in
-   let first = submit client ~release:1 ~cseq:1 in
-   (match first with
-   | Service.Protocol.Submit_ok { index = 0; _ } -> ()
-   | _ -> Alcotest.fail "first submit");
-   Alcotest.(check bool)
-     "retransmission answered from the cache" true
-     (submit client ~release:1 ~cseq:1 = first);
-   (match request_ok client Service.Protocol.Status with
-   | Service.Protocol.Status_ok st ->
-       Alcotest.(check int) "applied once" 1 st.Service.Protocol.accepted
-   | _ -> Alcotest.fail "status");
-   (match submit client ~release:2 ~cseq:2 with
-   | Service.Protocol.Submit_ok { index = 1; _ } -> ()
-   | _ -> Alcotest.fail "second submit");
-   (* A regressed cseq is a client bug, not a retry: typed rejection. *)
-   (match submit client ~release:3 ~cseq:1 with
-   | Service.Protocol.Error { code = Service.Protocol.Bad_request; _ } -> ()
-   | _ -> Alcotest.fail "stale cseq must be rejected");
-   Service.Client.close client;
-   Unix.kill pid Sys.sigkill;
-   ignore (Unix.waitpid [] pid));
+  (* one cid per kind: the cache keeps only the last cseq of each cid *)
+  let fault client =
+    request_ok client
+      (Service.Protocol.Fault
+         { time = 3; event = Faults.Event.Fail 3; cid = 8; cseq = 1; trace = 0 })
+  in
+  let endow client =
+    request_ok client
+      (Service.Protocol.Endow
+         {
+           time = 4;
+           event = Federation.Event.Leave { org = 1 };
+           cid = 9;
+           cseq = 1;
+           trace = 0;
+         })
+  in
+  let status_accepted client =
+    match request_ok client Service.Protocol.Status with
+    | Service.Protocol.Status_ok st -> st.Service.Protocol.accepted
+    | _ -> Alcotest.fail "status"
+  in
+  let resp =
+    Alcotest.testable
+      (fun ppf r -> Fmt.string ppf (Service.Protocol.response_to_line r))
+      ( = )
+  in
+  let second, fault_ack, endow_ack =
+    let@ pid = with_server ~state_dir ~service addr in
+    let client = connect_retry addr in
+    let first = submit client ~release:1 ~cseq:1 in
+    (match first with
+    | Service.Protocol.Submit_ok { index = 0; _ } -> ()
+    | _ -> Alcotest.fail "first submit");
+    Alcotest.check resp "retransmission answered from the cache" first
+      (submit client ~release:1 ~cseq:1);
+    Alcotest.(check int) "applied once" 1 (status_accepted client);
+    let second = submit client ~release:2 ~cseq:2 in
+    (match second with
+    | Service.Protocol.Submit_ok { index = 1; _ } -> ()
+    | _ -> Alcotest.fail "second submit");
+    (* A regressed cseq is a client bug, not a retry: typed rejection. *)
+    (match submit client ~release:3 ~cseq:1 with
+    | Service.Protocol.Error { code = Service.Protocol.Bad_request; _ } -> ()
+    | _ -> Alcotest.fail "stale cseq must be rejected");
+    let fault_ack = fault client in
+    (match fault_ack with
+    | Service.Protocol.Fault_ok _ -> ()
+    | _ -> Alcotest.fail "fault");
+    let endow_ack = endow client in
+    (match endow_ack with
+    | Service.Protocol.Endow_ok _ -> ()
+    | _ -> Alcotest.fail "endow");
+    Service.Client.close client;
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid);
+    (second, fault_ack, endow_ack)
+  in
   let@ _pid = with_server ~state_dir ~service addr in
   let client = connect_retry addr in
-  (match submit client ~release:2 ~cseq:2 with
-  | Service.Protocol.Submit_ok { index = 1; _ } -> ()
-  | _ -> Alcotest.fail "post-crash retransmission not deduped");
-  (match request_ok client Service.Protocol.Status with
-  | Service.Protocol.Status_ok st ->
-      Alcotest.(check int)
-        "still applied once each" 2 st.Service.Protocol.accepted
-  | _ -> Alcotest.fail "status after recovery");
+  Alcotest.check resp "post-crash submit retransmission" second
+    (submit client ~release:2 ~cseq:2);
+  Alcotest.check resp "post-crash fault retransmission" fault_ack
+    (fault client);
+  Alcotest.check resp "post-crash endow retransmission" endow_ack
+    (endow client);
+  Alcotest.(check int) "still applied once each" 4 (status_accepted client);
   Service.Client.close client
 
 (* Resilient stamps feeds once, before the first attempt, so any manual
@@ -1416,11 +1486,13 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "requests" `Quick test_protocol_requests;
+          Alcotest.test_case "golden-lines" `Quick test_protocol_golden;
           Alcotest.test_case "responses" `Quick test_protocol_responses;
         ] );
       ( "wal",
         [
           Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
+          Alcotest.test_case "golden-lines" `Quick test_wal_golden;
           Alcotest.test_case "torn-tail" `Quick test_wal_torn_tail;
           Alcotest.test_case "snapshot-dedupe" `Quick test_wal_snapshot_dedupe;
           Alcotest.test_case "sync-repair" `Quick test_wal_sync_repair;

@@ -599,15 +599,39 @@ let wire () =
 (* Spawn the REAL `fairsched serve` (path from --serve-exe; fork+exec, so
    safe even after this process has run domains) with a sharded
    configuration and a state dir (one fsync per pump), saturate it with
-   the pipelined multi-connection load generator, and record throughput per
-   (shards × connections) cell.  Single-shard rows are the baseline; on a
+   the pipelined multi-connection load generator, and record throughput
+   and the daemon's peak RSS per row.  A row fixes shards, connections,
+   org-groups and the number of jobs submitted, so a long row shows the
+   costs that grow with history.  Single-shard rows are the baseline for
+   sharded rows of the same connections, groups and jobs; on a
    multi-core machine the sharded rows must show real speedup, on a
    single-core one the rows are flagged "single_core": true and the
    speedup column only measures scheduling overhead.  [strict] (the
    @bench-smoke row) turns lost submissions, unamortized fsyncs, and — on
    multi-core — a sub-2x best speedup into hard failures. *)
-let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
-    ~groups ~count () =
+type serve_row = { shards : int; conns : int; groups : int; jobs : int }
+
+let serve_grid ~shards ~conns ~groups ~jobs =
+  List.concat_map
+    (fun shards -> List.map (fun conns -> { shards; conns; groups; jobs }) conns)
+    shards
+
+(* A /proc/PID/status field in kB ("VmHWM"), as megabytes; [None] where
+   /proc is unavailable. *)
+let proc_status_mb ~pid field =
+  match In_channel.with_open_text (Printf.sprintf "/proc/%d/status" pid)
+          In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      String.split_on_char '\n' status
+      |> List.find_map (fun line ->
+             match String.split_on_char ':' line with
+             | [ k; v ] when k = field ->
+                 Scanf.sscanf_opt (String.trim v) "%d kB" (fun kb ->
+                     float_of_int kb /. 1024.)
+             | _ -> None)
+
+let service_scaling ?(strict = false) ~serve_exe cells () =
   section "service_scaling — sharded daemon saturation (shards × connections)";
   match serve_exe with
   | None ->
@@ -627,22 +651,17 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
       in
       let cores = Domain.recommended_domain_count () in
       let single_core = cores < 2 in
-      let norgs = 2 * groups and machines = 4 * groups in
-      let horizon = 1_000_000 and seed = 4242 in
+      let seed = 4242 in
       let window = 32 in
       Format.printf
-        "  cores=%d  groups=%d  orgs=%d  machines=%d  window=%d  jobs=%d@.@."
-        cores groups norgs machines window count;
+        "  cores=%d  orgs=2/group  machines=4/group  window=%d@.@." cores
+        window;
       if single_core then
         Format.printf
           "  !! single-core machine: worker domains time-share 1 core, so \
            the speedup@.     column measures dispatch overhead, not scaling \
            — rows are flagged@.     \"single_core\": true and the >= 2x \
            floor is not enforced.@.@.";
-      let spec =
-        Workload.Scenario.default ~norgs ~machines ~horizon
-          Workload.Traces.lpc_egee
-      in
       let tmp_root =
         Filename.concat
           (Filename.get_temp_dir_name ())
@@ -661,8 +680,25 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
       (try rm tmp_root with Sys_error _ | Unix.Unix_error _ -> ());
       Unix.mkdir tmp_root 0o755;
       let failed = ref [] in
-      let run_cell ~shards ~conns =
-        let cell = Printf.sprintf "s%d-c%d" shards conns in
+      let run_cell { shards; conns; groups; jobs } =
+        let norgs = 2 * groups and machines = 4 * groups in
+        let scenario horizon =
+          Workload.Scenario.default ~norgs ~machines ~horizon
+            Workload.Traces.lpc_egee
+        in
+        (* at least 10^6, and long enough to release all [jobs] *)
+        let horizon =
+          let floor = 1_000_000 in
+          match
+            Seq.drop (jobs - 1)
+              (Workload.Scenario.submission_stream (scenario floor) ~seed)
+              ()
+          with
+          | Seq.Cons (j, _) -> Stdlib.max floor (j.Core.Job.release + 1)
+          | Seq.Nil -> floor
+        in
+        let spec = scenario horizon in
+        let cell = Printf.sprintf "s%d-c%d-g%d-j%d" shards conns groups jobs in
         let dir = Filename.concat tmp_root cell in
         Unix.mkdir dir 0o755;
         let sock = Filename.concat dir "d.sock" in
@@ -706,7 +742,7 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
                 spec;
                 seed;
                 rate = 0.;
-                count;
+                count = jobs;
                 drain = false;
                 policy = Service.Retry.default;
                 timeout_s = 10.0;
@@ -725,6 +761,7 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
               (st.Service.Protocol.fsyncs, st.Service.Protocol.accepted)
           | Ok _ | Error _ -> (0, 0)
         in
+        let hwm_mb = proc_status_mb ~pid "VmHWM" in
         (match
            Service.Client.request client
              (Service.Protocol.Drain { detail = false })
@@ -742,31 +779,29 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
             Printf.sprintf "%s: fsyncs did not amortize (%d fsyncs / %d acks)"
               cell fsyncs acks
             :: !failed;
-        (report, fsyncs, acks)
+        (report, fsyncs, acks, hwm_mb)
       in
-      Format.printf "  %-7s %-5s | %-9s %-9s %-9s %-7s %-7s@." "shards"
-        "conns" "rate/s" "p50 (us)" "p99 (us)" "fsyncs" "acks";
-      let cells =
-        List.concat_map
-          (fun shards -> List.map (fun conns -> (shards, conns)) conn_counts)
-          shard_counts
-      in
+      Format.printf "  %-6s %-5s %-6s %-7s | %-9s %-9s %-9s %-7s %-7s %-7s@."
+        "shards" "conns" "groups" "jobs" "rate/s" "p50 (us)" "p99 (us)"
+        "fsyncs" "acks" "hwm MB";
       let rows =
         List.map
-          (fun (shards, conns) ->
-            let report, fsyncs, acks = run_cell ~shards ~conns in
+          (fun row ->
+            let report, fsyncs, acks, hwm_mb = run_cell row in
             let rate = report.Service.Loadgen.achieved_rate in
             let lat = report.Service.Loadgen.ack_latency in
-            Format.printf "  %-7d %-5d | %-9.0f %-9.0f %-9.0f %-7d %-7d@."
-              shards conns rate lat.Obs.Metrics.p50 lat.Obs.Metrics.p99 fsyncs
-              acks;
-            ((shards, conns, rate),
+            Format.printf
+              "  %-6d %-5d %-6d %-7d | %-9.0f %-9.0f %-9.0f %-7d %-7d %-7s@."
+              row.shards row.conns row.groups row.jobs rate lat.Obs.Metrics.p50
+              lat.Obs.Metrics.p99 fsyncs acks
+              (match hwm_mb with Some mb -> Printf.sprintf "%.1f" mb | None -> "-");
+            ((row, rate),
              Obs.Json.Obj
                [
-                 ("shards", Obs.Json.Int shards);
-                 ("connections", Obs.Json.Int conns);
-                 ("groups", Obs.Json.Int groups);
-                 ("jobs", Obs.Json.Int count);
+                 ("shards", Obs.Json.Int row.shards);
+                 ("connections", Obs.Json.Int row.conns);
+                 ("groups", Obs.Json.Int row.groups);
+                 ("jobs", Obs.Json.Int row.jobs);
                  ("accepted", Obs.Json.Int report.Service.Loadgen.accepted);
                  ("backpressured",
                   Obs.Json.Int report.Service.Loadgen.backpressured);
@@ -775,27 +810,36 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
                  ("ack_p99_us", Obs.Json.Float lat.Obs.Metrics.p99);
                  ("fsyncs", Obs.Json.Int fsyncs);
                  ("acks", Obs.Json.Int acks);
+                 ( "daemon_hwm_mb",
+                   match hwm_mb with
+                   | Some mb -> Obs.Json.Float mb
+                   | None -> Obs.Json.Null );
                ]))
           cells
       in
       (try rm tmp_root with Sys_error _ | Unix.Unix_error _ -> ());
-      let max_conns = List.fold_left Stdlib.max 1 conn_counts in
-      let rate_at s =
-        List.find_map
-          (fun ((s', c, r), _) -> if s' = s && c = max_conns then Some r else None)
+      let max_conns =
+        List.fold_left (fun acc ((r, _), _) -> Stdlib.max acc r.conns) 1 rows
+      in
+      (* best sharded rate over its single-shard baseline: same
+         connections (the most), groups and jobs *)
+      let ratios =
+        List.filter_map
+          (fun ((r, rate), _) ->
+            if r.conns <> max_conns || r.shards = 1 then None
+            else
+              List.find_map
+                (fun ((b, b_rate), _) ->
+                  if b = { r with shards = 1 } && b_rate > 0. then
+                    Some (rate /. b_rate)
+                  else None)
+                rows)
           rows
       in
-      let base = rate_at 1 in
-      let best =
-        List.fold_left
-          (fun acc ((s, c, r), _) ->
-            if c = max_conns && s > 1 then Stdlib.max acc r else acc)
-          0. rows
-      in
       let speedup =
-        match base with
-        | Some b when b > 0. && best > 0. -> Some (best /. b)
-        | _ -> None
+        match ratios with
+        | [] -> None
+        | x :: xs -> Some (List.fold_left Float.max x xs)
       in
       (match speedup with
       | Some sp ->
@@ -805,7 +849,7 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
              else "")
       | None -> ());
       List.iter
-        (fun ((_, _, r), _) -> record_rate "service_rate_per_s" r)
+        (fun ((_, r), _) -> record_rate "service_rate_per_s" r)
         rows;
       record_json "service_scaling"
         (Obs.Json.Obj
@@ -913,8 +957,8 @@ let () =
       [
         ("ref_scaling", ref_scaling ~ks:[ 4 ] ~horizon:4_000);
         ( "service_scaling",
-          service_scaling ~strict:true ~serve_exe ~shard_counts:[ 1; 2 ]
-            ~conn_counts:[ 2 ] ~groups:2 ~count:600 );
+          service_scaling ~strict:true ~serve_exe
+            (serve_grid ~shards:[ 1; 2 ] ~conns:[ 2 ] ~groups:2 ~jobs:600) );
       ]
     else if approx_smoke then
       (* `dune build @approx-smoke`: the Thm 5.6 bound check at small k plus
@@ -965,10 +1009,13 @@ let () =
         ("wire", wire);
         ( "service_scaling",
           service_scaling ~strict:false ~serve_exe
-            ~shard_counts:(if quick then [ 1; 2 ] else [ 1; 2; 4 ])
-            ~conn_counts:(if quick then [ 2 ] else [ 1; 4 ])
-            ~groups:4
-            ~count:(if quick then 1_000 else 5_000) );
+            (if quick then
+               serve_grid ~shards:[ 1; 2 ] ~conns:[ 2 ] ~groups:4 ~jobs:1_000
+             else
+               serve_grid ~shards:[ 1; 2; 4 ] ~conns:[ 1; 4 ] ~groups:4
+                 ~jobs:5_000
+               (* a long row, where the length of the history matters *)
+               @ [ { shards = 1; conns = 2; groups = 2; jobs = 100_000 } ]) );
       ]
   in
   let wanted =

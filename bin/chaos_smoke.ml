@@ -240,7 +240,6 @@ let crash_phase root =
           "--algorithm"; algorithm; "--orgs"; string_of_int norgs;
           "--machines"; string_of_int machines;
           "--horizon"; string_of_int horizon; "--seed"; string_of_int seed;
-          "--snapshot-every"; "0";
         ]
       in
       List.iteri

@@ -961,7 +961,9 @@ let serve_cmd =
       & info [ "state" ] ~docv:"DIR"
           ~doc:
             "State directory for the write-ahead log and snapshots; enables \
-             crash recovery.  Without it the daemon is ephemeral.")
+             crash recovery.  Without it the daemon is ephemeral.  The log \
+             is compacted into a snapshot only at boot, at drain and on \
+             $(b,fairsched ctl snapshot).")
   in
   let algo_arg =
     Arg.(
@@ -986,14 +988,6 @@ let serve_cmd =
           ~doc:
             "Admission-queue bound: submissions beyond it are answered with \
              a typed backpressure error.")
-  in
-  let snapshot_every_arg =
-    Arg.(
-      value & opt int 4096
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:
-            "Write a snapshot (and compact the WAL) every N accepted \
-             records; 0 snapshots only on request and at drain.")
   in
   let max_restarts_arg =
     Arg.(
@@ -1084,13 +1078,12 @@ let serve_cmd =
              line) instead of text on stderr.")
   in
   let run listen state model algo estimator norgs machines horizon seed split
-      max_restarts queue_cap snapshot_every chaos degrade overload_queue
-      overload_ms overload_trip overload_recover groups shards
-      federation_spec log_level log_file trace metrics =
+      max_restarts queue_cap chaos degrade overload_queue overload_ms
+      overload_trip overload_recover groups shards federation_spec log_level
+      log_file trace metrics =
     (match max_restarts with
     | Some r when r < 0 -> die "--max-restarts must be >= 0"
     | Some _ | None -> ());
-    if snapshot_every < 0 then die "--snapshot-every must be >= 0";
     (match log_level with
     | None -> ()
     | Some s -> (
@@ -1153,7 +1146,7 @@ let serve_cmd =
       }
     in
     let cfg =
-      Service.Server.make_config ?state_dir:state ~queue_cap ~snapshot_every
+      Service.Server.make_config ?state_dir:state ~queue_cap
         ?degrade_to:degrade ~overload ~shards ~addr:listen ~service ()
     in
     let ready () =
@@ -1177,11 +1170,10 @@ let serve_cmd =
       const run $ listen_arg $ state_arg $ model_arg $ algo_arg
       $ estimator_arg $ norgs_arg
       $ machines_arg $ horizon_arg 50_000 $ seed_arg $ split_arg
-      $ max_restarts_arg $ queue_cap_arg $ snapshot_every_arg $ chaos_arg
-      $ degrade_arg $ overload_queue_arg $ overload_ms_arg $ overload_trip_arg
-      $ overload_recover_arg $ groups_arg $ shards_arg
-      $ federation_arg $ log_level_arg $ log_file_arg $ trace_arg
-      $ metrics_arg)
+      $ max_restarts_arg $ queue_cap_arg $ chaos_arg $ degrade_arg
+      $ overload_queue_arg $ overload_ms_arg $ overload_trip_arg
+      $ overload_recover_arg $ groups_arg $ shards_arg $ federation_arg
+      $ log_level_arg $ log_file_arg $ trace_arg $ metrics_arg)
 
 let submit_cmd =
   let org_arg =

@@ -92,6 +92,20 @@ let submit_of_job ~cid ~cseq ~trace (j : Core.Job.t) =
       trace;
     }
 
+(* Wait until request [k] (0-based) is due and return the instant its ack
+   is timed from.  Paced ([rate > 0]): the due time [t0 + k / rate], not
+   the send, so a server stall counts against every request that fell due
+   during it rather than only the one in flight (no coordinated
+   omission).  Unpaced: now. *)
+let pace ~t0 ~rate k =
+  if rate > 0. then begin
+    let due = t0 +. (float_of_int k /. rate) in
+    let slack = due -. Unix.gettimeofday () in
+    if slack > 0. then Unix.sleepf slack;
+    due
+  end
+  else Unix.gettimeofday ()
+
 (* --- Closed loop: one Resilient client, one request in flight ----------- *)
 
 let closed_loop cfg ~hist ~rng ~t0 ~rate (jobs : Core.Job.t array) =
@@ -106,26 +120,18 @@ let closed_loop cfg ~hist ~rng ~t0 ~rate (jobs : Core.Job.t array) =
       let accepted = ref 0 in
       let rejected = ref 0 in
       let errors = ref 0 in
-      let pace () =
-        if rate > 0. then begin
-          let due = t0 +. (float_of_int !submitted /. rate) in
-          let slack = due -. Unix.gettimeofday () in
-          if slack > 0. then Unix.sleepf slack
-        end
-      in
       (* Backpressure and transient transport failures are absorbed by
          the resilient client within its budget — the queue bound turns
          overload into client-side waiting, not loss.  A job whose
          budget runs out is abandoned and the run continues. *)
       Array.iter
         (fun j ->
-          pace ();
+          let start = pace ~t0 ~rate !submitted in
           incr submitted;
-          let sent_at = Obs.Clock.now_ns () in
           let outcome =
             Client.Resilient.call conn (submit_of_job ~cid:0 ~cseq:0 ~trace:0 j)
           in
-          Obs.Metrics.observe hist (Obs.Clock.elapsed sent_at *. 1e6);
+          Obs.Metrics.observe hist ((Unix.gettimeofday () -. start) *. 1e6);
           match outcome with
           | Ok (Protocol.Submit_ok _) -> incr accepted
           | Ok (Protocol.Error { code = Protocol.Backpressure; _ }) ->
@@ -165,7 +171,8 @@ let open_loop cfg ~hist ~cid ~t0 ~rate (jobs : Core.Job.t array) =
   let reconnects = ref 0 in
   let retries = ref 0 in
   let gave_up = ref 0 in
-  (* oldest first; responses arrive in per-connection request order *)
+  (* (line, instant its ack is timed from), oldest first; responses
+     arrive in per-connection request order *)
   let pending : (string * float) Queue.t = Queue.create () in
   let rbuf = Buffer.create 4096 in
   let timeout = if cfg.timeout_s > 0. then cfg.timeout_s else 5.0 in
@@ -219,19 +226,11 @@ let open_loop cfg ~hist ~cid ~t0 ~rate (jobs : Core.Job.t array) =
             (try Unix.close fd with Unix.Unix_error _ -> ());
             reestablish ())
   in
-  let pace () =
-    if rate > 0. then begin
-      let due = t0 +. (float_of_int !submitted /. rate) in
-      let slack = due -. Unix.gettimeofday () in
-      if slack > 0. then Unix.sleepf slack
-    end
-  in
   let handle_response line =
     match Queue.take_opt pending with
     | None -> incr errors  (* response with nothing in flight *)
-    | Some (_, sent_at) -> (
-        Obs.Metrics.observe hist
-          ((Unix.gettimeofday () -. sent_at) *. 1e6);
+    | Some (_, start) -> (
+        Obs.Metrics.observe hist ((Unix.gettimeofday () -. start) *. 1e6);
         match Protocol.response_of_line line with
         | Ok (Protocol.Submit_ok _) -> incr accepted
         | Ok (Protocol.Error { code = Protocol.Backpressure; _ }) ->
@@ -267,7 +266,7 @@ let open_loop cfg ~hist ~cid ~t0 ~rate (jobs : Core.Job.t array) =
         && !submitted < njobs
         && Queue.length pending < cfg.window
       do
-        pace ();
+        let start = pace ~t0 ~rate !submitted in
         let j = jobs.(!submitted) in
         incr submitted;
         let line =
@@ -277,7 +276,7 @@ let open_loop cfg ~hist ~cid ~t0 ~rate (jobs : Core.Job.t array) =
           Protocol.request_to_line
             (submit_of_job ~cid ~cseq:!submitted ~trace j)
         in
-        Queue.push (line, Unix.gettimeofday ()) pending;
+        Queue.push (line, start) pending;
         match write_all fd line with
         | () -> ()
         | exception Unix.Unix_error _ -> sent_error := true

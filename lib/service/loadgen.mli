@@ -5,9 +5,11 @@
     configured with the matching {!Workload.Scenario.split_and_map}
     endowment accepts every submission — org assignment and FIFO ranks
     line up by construction.  The generator paces submissions at a target
-    arrival rate (wall-clock) and records the submit-to-ack round trip in
+    arrival rate (wall-clock) and records the submit-to-ack latency in
     an {!Obs.Metrics} histogram (["loadgen.ack_latency_us"],
-    microseconds).  Submit-to-start latency is the {e server's}
+    microseconds).  A paced request is timed from its {e due} time, not
+    its send, so a server stall counts against every request that fell
+    due during it (no coordinated omission); unpaced, from the send.  Submit-to-start latency is the {e server's}
     ["sim.job_wait"] histogram (simulated time), surfaced through the
     final STATUS response when the daemon runs with [--metrics].
 
@@ -70,7 +72,8 @@ type report = {
       (** daemon-reported shed count from the final STATUS, when reachable *)
   wall_seconds : float;
   achieved_rate : float;  (** accepted / wall_seconds *)
-  ack_latency : Obs.Metrics.summary;  (** submit-to-ack, microseconds *)
+  ack_latency : Obs.Metrics.summary;
+      (** submit-to-ack (due-to-ack when paced), microseconds *)
   job_wait : Obs.Metrics.summary option;
       (** server-side submit-to-start (simulated time units) *)
 }

@@ -12,22 +12,20 @@ type config = {
   service : Config.t;
   state_dir : string option;
   queue_cap : int;
-  snapshot_every : int;
   drain_batch : int;
   degrade_to : string option;
   overload : Overload.config;
   shards : int;
 }
 
-let make_config ?state_dir ?(queue_cap = 1024) ?(snapshot_every = 4096)
-    ?(drain_batch = 256) ?degrade_to ?(overload = Overload.default)
-    ?(shards = 1) ~addr ~service () =
+let make_config ?state_dir ?(queue_cap = 1024) ?(drain_batch = 256)
+    ?degrade_to ?(overload = Overload.default) ?(shards = 1) ~addr ~service
+    () =
   {
     addr;
     service;
     state_dir;
     queue_cap;
-    snapshot_every;
     drain_batch;
     degrade_to;
     overload;
@@ -712,8 +710,7 @@ let run ?(ready = fun () -> ()) cfg =
         let* sd = seg_dir grp in
         let* shard =
           Shard.create ~partition:part ~group:grp ~state_dir:sd
-            ~overload:cfg.overload ~degrade_to:cfg.degrade_to
-            ~snapshot_every:cfg.snapshot_every ()
+            ~overload:cfg.overload ~degrade_to:cfg.degrade_to ()
         in
         go (shard :: acc) (grp + 1)
     in

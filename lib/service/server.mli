@@ -53,11 +53,13 @@ type config = {
       (** [service.groups] fixes the org-group partition — the semantic,
           durable part of sharding (it shapes the WAL layout).  [shards]
           below is pure execution and can change between runs. *)
-  state_dir : string option;  (** [None] = ephemeral (no durability) *)
+  state_dir : string option;
+      (** [None] = ephemeral (no durability).  Each group's WAL is
+          compacted into its snapshot only at boot (after recovery), at
+          drain and on a [snapshot] request — never on the ack path. *)
   queue_cap : int;
       (** bound on queued submissions + faults, divided evenly across
           org-groups (each group's bound is [queue_cap / groups]) *)
-  snapshot_every : int;  (** auto-snapshot period in accepted records per group; 0 = only on request/drain *)
   drain_batch : int;
       (** max {e feed} requests entering a group's engine per pump;
           rejects and control requests are answered without consuming
@@ -84,7 +86,6 @@ type config = {
 val make_config :
   ?state_dir:string ->
   ?queue_cap:int ->
-  ?snapshot_every:int ->
   ?drain_batch:int ->
   ?degrade_to:string ->
   ?overload:Overload.config ->
@@ -93,8 +94,8 @@ val make_config :
   service:Config.t ->
   unit ->
   config
-(** Defaults: queue_cap 1024, snapshot_every 4096, drain_batch 256, no
-    degraded mode, {!Overload.default} thresholds, shards 1. *)
+(** Defaults: queue_cap 1024, drain_batch 256, no degraded mode,
+    {!Overload.default} thresholds, shards 1. *)
 
 val run : ?ready:(unit -> unit) -> config -> (unit, string) result
 (** Bind, recover, serve until drained.  [ready] fires once the socket

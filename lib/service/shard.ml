@@ -144,14 +144,12 @@ type 'tok t = {
   sub : Config.t;  (* this group's induced config (drives the engine) *)
   state_dir : string option;  (* this segment's directory *)
   site_prefix : string;
-  snapshot_every : int;
   degrade_to : string option;
   mutable online : Online.t;
   mutable estimator : string;
   mutable writer : Wal.writer option;
   mutable seq : int;
   mutable records_rev : Wal.record list;
-  mutable since_snapshot : int;
   mutable accepted : int;
   mutable rejected : int;
   mutable draining : bool;
@@ -291,8 +289,7 @@ let estimator_budget ~spec ~players =
 
 (* --- Creation / recovery ------------------------------------------------- *)
 
-let create ~partition ~group ~state_dir ~overload ~degrade_to ~snapshot_every
-    () =
+let create ~partition ~group ~state_dir ~overload ~degrade_to () =
   let ( let* ) = Result.bind in
   let base = Partition.config partition in
   let sub = Partition.sub_config partition group in
@@ -386,14 +383,12 @@ let create ~partition ~group ~state_dir ~overload ~degrade_to ~snapshot_every
       sub;
       state_dir;
       site_prefix;
-      snapshot_every;
       degrade_to;
       online;
       estimator;
       writer;
       seq = last_seq;
       records_rev = List.rev records;
-      since_snapshot = 0;
       accepted = List.length (List.filter Wal.is_feed records);
       rejected = 0;
       draining = false;
@@ -441,7 +436,6 @@ let do_snapshot t =
           | Error _ as e -> e
           | Ok w ->
               t.writer <- Some w;
-              t.since_snapshot <- 0;
               Chaos.Fs.point (t.site_prefix ^ "after-wal-reset");
               Ok path))
 
@@ -533,8 +527,7 @@ let dedupe_hit t ~cid ~cseq =
 let log t record =
   t.seq <- Wal.seq_of record;
   Option.iter (fun w -> Wal.append w record) t.writer;
-  t.records_rev <- record :: t.records_rev;
-  t.since_snapshot <- t.since_snapshot + 1
+  t.records_rev <- record :: t.records_rev
 
 (* dedupe -> drain gate -> check -> log -> apply -> hold.  Errors are
    answered at once: no record, nothing to wait for. *)
@@ -801,8 +794,9 @@ let publish_slo t ~now =
 (* One processing round: pull queued messages, feed at most
    [drain_batch] engine entries (control queries don't consume the
    budget, matching the pre-sharding server), commit the round's
-   appends under one fsync, compact, re-evaluate overload.  Runs on the worker domain —
-   or inline on the router thread when the daemon is single-shard. *)
+   appends under one fsync, re-evaluate overload.  Runs on the worker
+   domain — or inline on the router thread when the daemon is
+   single-shard. *)
 let pump w =
   List.iter (fun m -> Queue.push m w.w_backlog) (Mailbox.drain w.w_mb);
   let now = Unix.gettimeofday () in
@@ -821,18 +815,6 @@ let pump w =
   List.iter
     (fun (_, sh) ->
       List.iter w.w_post (commit sh ~now);
-      (* automatic compaction once enough records accumulated; the commit
-         above emptied [held], so no WAL reset can outrun a held ack *)
-      if
-        sh.state_dir <> None && sh.snapshot_every > 0
-        && sh.since_snapshot >= sh.snapshot_every
-      then (
-        match do_snapshot sh with
-        | Ok _ -> ()
-        | Error msg ->
-            Obs.Log.error ~component:"shard"
-              ~fields:[ ("group", Obs.Json.Int sh.group) ]
-              "auto-snapshot: %s" msg);
       maybe_switch sh;
       publish_slo sh ~now;
       let depth = Atomic.get sh.depth in

@@ -115,7 +115,6 @@ val create :
   state_dir:string option ->
   overload:Overload.config ->
   degrade_to:string option ->
-  snapshot_every:int ->
   unit ->
   ('tok t, string) result
 (** Recover the group's segment ([state_dir] is {e this segment's}
@@ -164,8 +163,7 @@ val post_msg : 'tok worker -> group:int -> 'tok msg -> unit
 val pump : 'tok worker -> unit
 (** One processing round: drain the mailbox, feed at most [drain_batch]
     engine entries (control queries ride free, as before), commit the
-    round's appends under one fsync, compact if due, re-evaluate
-    overload.  Called
+    round's appends under one fsync, re-evaluate overload.  Called
     in a loop by {!start_worker}'s domain — or directly by the router
     when the daemon runs single-shard, preserving the pre-sharding
     single-threaded execution exactly. *)

@@ -1,5 +1,8 @@
-(** Durability: a write-ahead log of accepted inputs plus periodic
-    snapshots.
+(** Durability: a write-ahead log of accepted inputs plus snapshots that
+    compact it.  The daemon writes a snapshot only at boot (after
+    recovery), at drain and on the [snapshot] request: a snapshot holds
+    every record the log holds, so writing one periodically would only
+    rewrite the whole history again and again on the ack path.
 
     The daemon never serializes engine or policy state — REF's
     sub-coalition simulations alone would make that intractable.  Instead

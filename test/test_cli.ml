@@ -65,6 +65,7 @@ let test_invalid_flag_values () =
   check_error "simulate --workers 2" ~expect:"unknown option";
   check_error "serve --workers 2" ~expect:"unknown option";
   check_error "serve --commit-interval 2" ~expect:"unknown option";
+  check_error "serve --snapshot-every 4096" ~expect:"unknown option";
   check_error "simulate --horizon=oops" ~expect:"horizon"
 
 let test_malformed_fault_specs () =

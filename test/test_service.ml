@@ -1187,6 +1187,104 @@ let test_loadgen () =
   Alcotest.(check int) "latency histogram complete" 200
     report.Service.Loadgen.ack_latency.Obs.Metrics.count
 
+(* A stub daemon on a unix socket: acks every submit at once except the
+   very first, which it holds for [hold_s]; every other request gets an
+   [Unsupported] error.  Connections are served one after another. *)
+let with_stall_stub ~hold_s addr f =
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Service.Addr.to_sockaddr addr);
+  Unix.listen sock 8;
+  match Unix.fork () with
+  | 0 ->
+      let held = ref false in
+      let rec serve () =
+        let fd, _ = Unix.accept sock in
+        let ic = Unix.in_channel_of_descr fd in
+        let oc = Unix.out_channel_of_descr fd in
+        (try
+           while true do
+             let resp =
+               match Service.Protocol.request_of_line (input_line ic) with
+               | Ok (Service.Protocol.Submit { org; _ }) ->
+                   if not !held then begin
+                     held := true;
+                     Unix.sleepf hold_s
+                   end;
+                   Service.Protocol.Submit_ok { seq = 0; org; index = 0; now = 0 }
+               | Ok _ | Error _ ->
+                   Service.Protocol.Error
+                     {
+                       code = Service.Protocol.Unsupported;
+                       msg = "stub";
+                       retry_after_ms = None;
+                     }
+             in
+             output_string oc (Service.Protocol.response_to_line resp);
+             flush oc
+           done
+         with End_of_file | Sys_error _ -> ());
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        serve ()
+      in
+      serve ()
+  | pid ->
+      Unix.close sock;
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        f
+
+(* Paced load has no coordinated omission: with the first ack held for
+   100 ms and 20 requests due 1 ms apart, every request fell due during
+   the stall, so each is charged at least 100 - 19 ms even though the
+   closed loop only sent it once the stall was over.  Timed from the
+   send, only the first request would see the stall and the median would
+   read well under a millisecond. *)
+let test_loadgen_paced_stall () =
+  let@ dir = with_tmpdir in
+  let addr = Service.Addr.Unix_sock (Filename.concat dir "stub.sock") in
+  let hold_s = 0.1 and count = 20 in
+  let@ () = with_stall_stub ~hold_s addr in
+  Obs.Metrics.reset ();
+  let report =
+    Fun.protect ~finally:Obs.Metrics.reset (fun () ->
+        match
+          Service.Loadgen.run
+            {
+              Service.Loadgen.addr;
+              spec =
+                Workload.Scenario.default ~norgs:2 ~machines:4
+                  ~horizon:100_000 ~users:4 Workload.Traces.lpc_egee;
+              seed = 3;
+              rate = 1000.;
+              count;
+              drain = false;
+              policy = Service.Retry.default;
+              timeout_s = 5.0;
+              connections = 1;
+              groups = 1;
+              window = 1;
+            }
+        with
+        | Ok r -> r
+        | Error msg -> Alcotest.failf "loadgen: %s" msg)
+  in
+  Alcotest.(check int) "all accepted" count report.Service.Loadgen.accepted;
+  let lat = report.Service.Loadgen.ack_latency in
+  Alcotest.(check int) "every ack timed" count lat.Obs.Metrics.count;
+  let hold_us = hold_s *. 1e6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "max %.0f us covers the %.0f us hold" lat.Obs.Metrics.max
+       hold_us)
+    true
+    (lat.Obs.Metrics.max >= hold_us);
+  Alcotest.(check bool)
+    (Printf.sprintf "median %.0f us: the stall counts against most requests"
+       lat.Obs.Metrics.p50)
+    true
+    (lat.Obs.Metrics.p50 >= hold_us /. 2.)
+
 (* --- Sharding: org-group partition, group commit, fault isolation ----------- *)
 
 (* The partition is a pure function of the durable config: contiguous
@@ -1344,91 +1442,160 @@ let sharded_differential_qcheck =
         [ 1; 2; 4 ];
       true)
 
-(* Batched commit: a pipelined burst is acked with far fewer fsyncs than
-   acks (one fsync per pump covers every append the pump made), inline
-   and threaded alike, and — the durability contract — everything acked
-   before a kill -9 is recovered from the per-group segments. *)
+(* Batched commit and the long-WAL path: a pipelined stream longer than
+   4096 records per group is acked with far fewer fsyncs than acks (one
+   fsync per pump covers every append the pump made), flat, grouped
+   inline and grouped threaded alike.  Nothing compacts the log on the
+   ack path: before the kill -9 no segment holds a snapshot and each WAL
+   holds every acked record.  After the restart every acked submission
+   is back, boot compaction has written one snapshot per segment covering
+   exactly the old log, and the drained ψsp equals the per-group batch
+   runs. *)
 let test_group_commit_recovery () =
   List.iter
-    (fun shards ->
+    (fun (groups, shards) ->
       let@ dir = with_tmpdir in
       let state_dir = Filename.concat dir "state" in
       let service =
-        mk_config ~groups:2 ~machines:[| 2; 2 |] ~horizon:100_000 ()
+        mk_config ~groups ~machines:[| 2; 2 |] ~horizon:100_000
+          ~algorithm:"fairshare" ()
       in
       let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
-      let n = 64 in
+      let ctx = Printf.sprintf "groups=%d shards=%d" groups shards in
+      let n = 8400 in
+      let jobs =
+        List.init n (fun i ->
+            Core.Job.make ~org:(i land 1) ~index:0 ~user:0 ~release:(i + 1)
+              ~size:1 ())
+      in
+      let golden_psi, _, _ =
+        grouped_golden ~config:service
+          (Core.Instance.make ~machines:service.Service.Config.machines ~jobs
+             ~horizon:service.Service.Config.horizon)
+      in
+      let seg_dirs =
+        if groups = 1 then [ state_dir ]
+        else
+          List.init groups (fun group ->
+              Service.Wal.segment_dir ~dir:state_dir ~group)
+      in
+      let check_file path =
+        match Service.Wal.check path with
+        | Ok r -> r
+        | Error e ->
+            Alcotest.failf "%s: %s: %s" ctx path
+              (Service.Wal.boot_error_to_string e)
+      in
+      let per_group = n / groups in
       (let@ pid = with_server ~state_dir ~shards ~service addr in
-       (* Pipeline the burst on a raw socket: one write, n acks. *)
+       (* Pipeline the stream on a raw socket, one window at a time (the
+          window stays under the per-group admission bound). *)
        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
        Unix.connect fd (Service.Addr.to_sockaddr addr);
-       let burst = Buffer.create 4096 in
-       for i = 1 to n do
-         Buffer.add_string burst
-           (Service.Protocol.request_to_line
-              (Service.Protocol.Submit
-                 {
-                   org = i land 1;
-                   user = 0;
-                   release = i;
-                   size = 1;
-                   cid = 0;
-                   cseq = 0;
-                   trace = 0;
-                 }))
-       done;
-       let payload = Buffer.contents burst in
-       ignore (Unix.write_substring fd payload 0 (String.length payload));
-       let buf = Buffer.create 4096 in
-       let chunk = Bytes.create 4096 in
+       let lines =
+         Array.of_list
+           (List.map
+              (fun (j : Core.Job.t) ->
+                Service.Protocol.request_to_line
+                  (Service.Protocol.Submit
+                     {
+                       org = j.Core.Job.org;
+                       user = j.Core.Job.user;
+                       release = j.Core.Job.release;
+                       size = j.Core.Job.size;
+                       cid = 0;
+                       cseq = 0;
+                       trace = 0;
+                     }))
+              jobs)
+       in
+       let buf = Buffer.create 65536 in
+       let chunk = Bytes.create 65536 in
        let count_lines () =
          String.fold_left
            (fun acc c -> if c = '\n' then acc + 1 else acc)
            0 (Buffer.contents buf)
        in
-       while count_lines () < n do
-         match Unix.read fd chunk 0 (Bytes.length chunk) with
-         | 0 -> Alcotest.fail "server closed mid-burst"
-         | k -> Buffer.add_subbytes buf chunk 0 k
+       let sent = ref 0 in
+       while !sent < n do
+         let k = min 256 (n - !sent) in
+         let payload = String.concat "" (Array.to_list (Array.sub lines !sent k)) in
+         ignore (Unix.write_substring fd payload 0 (String.length payload));
+         Buffer.clear buf;
+         while count_lines () < k do
+           match Unix.read fd chunk 0 (Bytes.length chunk) with
+           | 0 -> Alcotest.fail "server closed mid-burst"
+           | r -> Buffer.add_subbytes buf chunk 0 r
+         done;
+         String.split_on_char '\n' (Buffer.contents buf)
+         |> List.filter (fun l -> l <> "")
+         |> List.iter (fun line ->
+                match Service.Protocol.response_of_line line with
+                | Ok (Service.Protocol.Submit_ok _) -> ()
+                | _ -> Alcotest.failf "burst response not an ack: %s" line);
+         sent := !sent + k
        done;
        Unix.close fd;
-       String.split_on_char '\n' (Buffer.contents buf)
-       |> List.filter (fun l -> l <> "")
-       |> List.iter (fun line ->
-              match Service.Protocol.response_of_line line with
-              | Ok (Service.Protocol.Submit_ok _) -> ()
-              | _ -> Alcotest.failf "burst response not an ack: %s" line);
        let client = connect_retry addr in
        (match request_ok client Service.Protocol.Status with
        | Service.Protocol.Status_ok st ->
-           Alcotest.(check int) "groups" 2 st.Service.Protocol.groups;
+           Alcotest.(check int) "groups" groups st.Service.Protocol.groups;
            Alcotest.(check int) "shards" shards st.Service.Protocol.shards;
            Alcotest.(check int) "all acked" n st.Service.Protocol.accepted;
            Alcotest.(check bool) "acks were fsynced" true
              (st.Service.Protocol.fsyncs > 0);
            Alcotest.(check bool)
-             (Printf.sprintf "shards=%d: fsyncs amortized (%d fsyncs / %d acks)"
-                shards st.Service.Protocol.fsyncs n)
+             (Printf.sprintf "%s: fsyncs amortized (%d fsyncs / %d acks)" ctx
+                st.Service.Protocol.fsyncs n)
              true
              (st.Service.Protocol.fsyncs < n)
        | _ -> Alcotest.fail "status: unexpected response");
        Service.Client.close client;
+       List.iter
+         (fun seg ->
+           Alcotest.(check bool)
+             (Printf.sprintf "%s: no snapshot before drain in %s" ctx seg)
+             false
+             (Sys.file_exists (Service.Wal.snapshot_path ~dir:seg));
+           let wal = check_file (Service.Wal.wal_path ~dir:seg) in
+           Alcotest.(check int)
+             (ctx ^ ": the WAL holds every acked record")
+             per_group wal.Service.Wal.ck_submits;
+           Alcotest.(check int) (ctx ^ ": WAL last seq") per_group
+             wal.Service.Wal.ck_last_seq)
+         seg_dirs;
        Unix.kill pid Sys.sigkill;
        ignore (Unix.waitpid [] pid));
-      (* Second life: every acked submission must come back from the two
-         wal-<g>/ segments. *)
+      (* Second life: every acked submission must come back. *)
       let@ _pid = with_server ~state_dir ~shards ~service addr in
       let client = connect_retry addr in
       (match request_ok client Service.Protocol.Status with
       | Service.Protocol.Status_ok st ->
-          Alcotest.(check int) "acked burst recovered" n
+          Alcotest.(check int) "acked stream recovered" n
             st.Service.Protocol.accepted
       | _ -> Alcotest.fail "status: unexpected response");
+      List.iter
+        (fun seg ->
+          let snap = check_file (Service.Wal.snapshot_path ~dir:seg) in
+          Alcotest.(check int)
+            (ctx ^ ": boot snapshot covers last_seq")
+            per_group snap.Service.Wal.ck_last_seq;
+          Alcotest.(check int)
+            (ctx ^ ": boot snapshot holds every record")
+            per_group snap.Service.Wal.ck_submits;
+          Alcotest.(check int)
+            (ctx ^ ": compacted WAL is empty")
+            0
+            (check_file (Service.Wal.wal_path ~dir:seg)).Service.Wal.ck_submits)
+        seg_dirs;
       (match request_ok client (Service.Protocol.Drain { detail = false }) with
-      | Service.Protocol.Drain_ok _ -> ()
+      | Service.Protocol.Drain_ok r ->
+          Alcotest.(check (array int))
+            (ctx ^ ": psi identical to batch after crash")
+            golden_psi r.Service.Protocol.d_psi_scaled
       | _ -> Alcotest.fail "drain: unexpected response");
       Service.Client.close client)
-    [ 1; 2 ]
+    [ (1, 1); (2, 1); (2, 2) ]
 
 (* Fault isolation: a chaos plan targeting one segment's fsyncs
    (site prefix g1/) turns that group's submissions into wal-errors while
@@ -1531,6 +1698,8 @@ let () =
           Alcotest.test_case "client-timeout" `Quick test_client_timeout;
           Alcotest.test_case "malformed-lines" `Quick test_malformed_lines;
           Alcotest.test_case "loadgen" `Quick test_loadgen;
+          Alcotest.test_case "loadgen-paced-stall" `Quick
+            test_loadgen_paced_stall;
         ] );
       ( "sharding",
         [

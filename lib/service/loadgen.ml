@@ -100,11 +100,11 @@ let submit_of_job ~cid ~cseq ~trace (j : Core.Job.t) =
 let pace ~t0 ~rate k =
   if rate > 0. then begin
     let due = t0 +. (float_of_int k /. rate) in
-    let slack = due -. Unix.gettimeofday () in
+    let slack = due -. Obs.Clock.now_s () in
     if slack > 0. then Unix.sleepf slack;
     due
   end
-  else Unix.gettimeofday ()
+  else Obs.Clock.now_s ()
 
 (* --- Closed loop: one Resilient client, one request in flight ----------- *)
 
@@ -131,7 +131,7 @@ let closed_loop cfg ~hist ~rng ~t0 ~rate (jobs : Core.Job.t array) =
           let outcome =
             Client.Resilient.call conn (submit_of_job ~cid:0 ~cseq:0 ~trace:0 j)
           in
-          Obs.Metrics.observe hist ((Unix.gettimeofday () -. start) *. 1e6);
+          Obs.Metrics.observe hist ((Obs.Clock.now_s () -. start) *. 1e6);
           match outcome with
           | Ok (Protocol.Submit_ok _) -> incr accepted
           | Ok (Protocol.Error { code = Protocol.Backpressure; _ }) ->
@@ -230,7 +230,7 @@ let open_loop cfg ~hist ~cid ~t0 ~rate (jobs : Core.Job.t array) =
     match Queue.take_opt pending with
     | None -> incr errors  (* response with nothing in flight *)
     | Some (_, start) -> (
-        Obs.Metrics.observe hist ((Unix.gettimeofday () -. start) *. 1e6);
+        Obs.Metrics.observe hist ((Obs.Clock.now_s () -. start) *. 1e6);
         match Protocol.response_of_line line with
         | Ok (Protocol.Submit_ok _) -> incr accepted
         | Ok (Protocol.Error { code = Protocol.Backpressure; _ }) ->
@@ -351,7 +351,7 @@ let run cfg =
       Array.init nconn (fun c ->
           Fstats.Rng.split (Fstats.Rng.create ~seed:(cfg.seed + (7919 * c))))
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_s () in
     let run_conn c =
       let jobs_c = per_conn.(c) in
       let rate_c =
@@ -372,7 +372,7 @@ let run cfg =
         |> Array.map Domain.join
         |> Array.fold_left sum_agg zero_agg
     in
-    let wall_seconds = Unix.gettimeofday () -. t0 in
+    let wall_seconds = Obs.Clock.now_s () -. t0 in
     (* Status and drain from a fresh control connection after the load
        connections settle. *)
     let rng = Fstats.Rng.split (Fstats.Rng.create ~seed:(cfg.seed + 1)) in

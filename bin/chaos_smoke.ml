@@ -17,11 +17,9 @@
    3. SIGKILL under load — a resilient Loadgen run against a daemon
       that is killed -9 and restarted mid-stream must complete with
       zero lost acks inside its retry budget;
-   4. graceful degradation — an in-process server under a pipelined
-      overload burst must switch to its `--degrade` estimator, shed
-      load with retry-after hints, switch back once calm, and leave
-      the whole story visible in Obs.Metrics and the WAL's Mode
-      records.
+   4. overload backpressure — an in-process server under a pipelined
+      overload burst must shed load with retry-after hints, still
+      drain, and never log a Mode record (the estimator is fixed).
 
    Every randomized trial prints its seed on failure so it can be
    replayed.  Exit 0 on success, 1 with a one-line reason otherwise. *)
@@ -270,7 +268,7 @@ let golden_config () =
   | Ok c -> c
   | Error msg -> fatal "golden config: %s" msg
 
-(* A golden state dir: 24 records (one a Mode switch), a snapshot
+(* A golden state dir: 24 records (one a legacy Mode switch), a snapshot
    covering the first 10, and the full WAL — recovery merges the two. *)
 let build_golden dir =
   Unix.mkdir dir 0o755;
@@ -521,7 +519,7 @@ let sigkill_loadgen_phase root =
     report.Service.Loadgen.accepted report.Service.Loadgen.retries
     report.Service.Loadgen.reconnects
 
-(* --- phase 4: graceful degradation --------------------------------------- *)
+(* --- phase 4: overload backpressure ---------------------------------------- *)
 
 let find_counter name =
   List.fold_left
@@ -531,16 +529,13 @@ let find_counter name =
     0
     (Obs.Metrics.snapshot ())
 
-let degrade_phase root =
+let overload_phase root =
   incr trials;
   Obs.Metrics.set_enabled true;
-  let sock = Filename.concat root "deg.sock" in
-  let state = Filename.concat root "deg-state" in
+  let sock = Filename.concat root "ovl.sock" in
+  let state = Filename.concat root "ovl-state" in
   let addr = Service.Addr.Unix_sock sock in
   let service = golden_config () in
-  let degrade_to = "rand:0.25,0.5" in
-  if Algorithms.Registry.find degrade_to = None then
-    fatal "[degrade] estimator %s not in the registry" degrade_to;
   let overload =
     {
       Service.Overload.default with
@@ -556,13 +551,13 @@ let degrade_phase root =
   let service = { service with Service.Config.horizon = 1_000_000 } in
   let cfg =
     Service.Server.make_config ~state_dir:state ~queue_cap:8 ~drain_batch:1
-      ~degrade_to ~overload ~addr ~service ()
+      ~overload ~addr ~service ()
   in
   let result = ref (Ok ()) in
   let srv = Thread.create (fun () -> result := Service.Server.run cfg) () in
   let ctl =
     let rec go n =
-      if n = 0 then fatal "[degrade] server never came up";
+      if n = 0 then fatal "[overload] server never came up";
       match Service.Client.connect ~timeout_s:2.0 addr with
       | Ok c -> c
       | Error _ ->
@@ -574,7 +569,7 @@ let degrade_phase root =
   let status () =
     match Service.Client.request ~timeout_s:5.0 ctl Service.Protocol.Status with
     | Ok (Service.Protocol.Status_ok st) -> st
-    | Ok _ | Error _ -> fatal "[degrade] status request failed"
+    | Ok _ | Error _ -> fatal "[overload] status request failed"
   in
   (* A raw pipelined burster on its own thread: it must keep the tiny
      admission queue saturated for longer than the trip dwell, which a
@@ -631,23 +626,16 @@ let degrade_phase root =
         Unix.close fd)
       ()
   in
-  (* Phase in: saturate until the detector trips and the estimator
-     switches (bounded by a deadline, not a fixed count). *)
+  (* Saturate until the daemon sheds (bounded by a deadline, not a
+     fixed count). *)
   let deadline = Unix.gettimeofday () +. 20.0 in
-  let tripped = ref false in
-  while (not !tripped) && Unix.gettimeofday () < deadline do
+  let shedding = ref false in
+  while (not !shedding) && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.01;
-    let st = status () in
-    if st.Service.Protocol.degraded then tripped := true
+    if (status ()).Service.Protocol.shed > 0 then shedding := true
   done;
-  if not !tripped then fail "[degrade] overload never tripped degraded mode";
-  let st_hot = status () in
-  if st_hot.Service.Protocol.degraded && st_hot.Service.Protocol.estimator <> degrade_to
-  then
-    fail "[degrade] degraded but estimator is %s, expected %s"
-      st_hot.Service.Protocol.estimator degrade_to;
-  if st_hot.Service.Protocol.shed = 0 then
-    fail "[degrade] saturated a queue of 8 without shedding";
+  if not !shedding then
+    fail "[overload] saturated a queue of 8 without shedding";
   (* Shed responses must carry the retry-after hint.  The queue is
      saturated, so a handful of tries is enough to get backpressured. *)
   let hint_checked = ref false in
@@ -671,63 +659,38 @@ let degrade_phase root =
            { code = Service.Protocol.Backpressure; retry_after_ms; _ }) ->
         hint_checked := true;
         if retry_after_ms = None then
-          fail "[degrade] backpressure without a retry_after_ms hint"
+          fail "[overload] backpressure without a retry_after_ms hint"
     | Ok _ | Error _ -> ()
   done;
   if not !hint_checked then
-    fail "[degrade] never saw backpressure on a saturated queue";
+    fail "[overload] never saw backpressure on a saturated queue";
   stop_burst := true;
   Thread.join burster;
-  (* Phase out: stop the load; status polls double as detector ticks. *)
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let calm = ref false in
-  while (not !calm) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.03;
-    let st = status () in
-    if not st.Service.Protocol.degraded then calm := true
-  done;
-  if not !calm then fail "[degrade] never recovered from degraded mode";
-  let st_cool = status () in
-  if st_cool.Service.Protocol.estimator <> service.Service.Config.algorithm
-  then
-    fail "[degrade] recovered but estimator is %s, expected %s"
-      st_cool.Service.Protocol.estimator service.Service.Config.algorithm;
   (match
      Service.Client.request ~timeout_s:30.0 ctl
        (Service.Protocol.Drain { detail = false })
    with
   | Ok (Service.Protocol.Drain_ok _) -> ()
-  | Ok _ | Error _ -> fail "[degrade] drain failed");
+  | Ok _ | Error _ -> fail "[overload] drain failed");
   Service.Client.close ctl;
   Thread.join srv;
   (match !result with
   | Ok () -> ()
-  | Error msg -> fail "[degrade] server exited with: %s" msg);
-  (* The whole story must be visible in the metrics... *)
-  let switches = find_counter "service.degrade_switches" in
-  let recoveries = find_counter "service.recover_switches" in
+  | Error msg -> fail "[overload] server exited with: %s" msg);
   let shed = find_counter "service.shed" in
-  if switches < 1 then fail "[degrade] service.degrade_switches = 0";
-  if recoveries < 1 then fail "[degrade] service.recover_switches = 0";
-  if shed < 1 then fail "[degrade] service.shed = 0";
-  (* ...and in the WAL: the switch and the recovery are Mode records. *)
+  if shed < 1 then fail "[overload] service.shed = 0";
+  (* Overload never changes the estimator, so nothing logs a Mode record. *)
   (match Service.Wal.recover ~dir:state with
   | Ok r ->
-      let modes =
-        List.filter
+      if
+        List.exists
           (function Service.Wal.Mode _ -> true | _ -> false)
           r.Service.Wal.r_records
-      in
-      if List.length modes < 2 then
-        fail "[degrade] %d Mode records in the WAL, expected >= 2"
-          (List.length modes)
+      then fail "[overload] the WAL holds a Mode record"
   | Error e ->
-      fail "[degrade] post-drain state dir refused: %s"
+      fail "[overload] post-drain state dir refused: %s"
         (Service.Wal.boot_error_to_string e));
-  Format.printf
-    "chaos-smoke: graceful degradation OK (switches %d, recoveries %d, shed \
-     %d)@."
-    switches recoveries shed
+  Format.printf "chaos-smoke: overload backpressure OK (shed %d)@." shed
 
 let () =
   init ~name:"chaos-smoke" ~usage:"chaos_smoke FAIRSCHED_EXE";
@@ -736,7 +699,7 @@ let () =
       crash_phase dir;
       fuzz_phase dir;
       sigkill_loadgen_phase dir;
-      degrade_phase dir);
+      overload_phase dir);
   if !failures > 0 then begin
     Format.eprintf "chaos-smoke: %d failure(s) across %d trials@." !failures
       !trials;

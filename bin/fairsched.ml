@@ -370,6 +370,9 @@ let simulate_cmd =
         | None ->
             die "unknown algorithm %S (see `fairsched algorithms`)" algo
     in
+    (match Core.Instance.check_horizon ~machines ~horizon with
+    | Ok () -> ()
+    | Error msg -> die "%s" msg);
     with_obs ~trace ~metrics @@ fun () ->
     let body () =
         report_estimator ~algo ~norgs;
@@ -1008,16 +1011,6 @@ let serve_cmd =
              $(b,torn@wal-append=5).  Actions: crash, enospc, eio, short, \
              torn.  Testing only.")
   in
-  let degrade_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "degrade" ] ~docv:"SPEC"
-          ~doc:
-            "Estimator to switch to under sustained overload (e.g. \
-             $(b,rand:0.1,0.9)), switching back once load recovers.  The \
-             switch is WAL-logged and crash-safe.")
-  in
   let overload_queue_arg =
     Arg.(
       value
@@ -1039,14 +1032,14 @@ let serve_cmd =
       value
       & opt (nonneg_float_conv "--overload-trip") 100.
       & info [ "overload-trip" ] ~docv:"MS"
-          ~doc:"Sustained pressure (ms) before degrading.")
+          ~doc:"Sustained pressure (ms) before shedding load.")
   in
   let overload_recover_arg =
     Arg.(
       value
       & opt (nonneg_float_conv "--overload-recover") 500.
       & info [ "overload-recover" ] ~docv:"MS"
-          ~doc:"Sustained calm (ms) before recovering.")
+          ~doc:"Sustained calm (ms) before shedding stops.")
   in
   let shards_arg =
     Arg.(
@@ -1078,7 +1071,7 @@ let serve_cmd =
              line) instead of text on stderr.")
   in
   let run listen state model algo estimator norgs machines horizon seed split
-      max_restarts queue_cap chaos degrade overload_queue overload_ms
+      max_restarts queue_cap chaos overload_queue overload_ms
       overload_trip overload_recover groups shards federation_spec log_level
       log_file trace metrics =
     (match max_restarts with
@@ -1099,12 +1092,6 @@ let serve_cmd =
     let algo = resolve_estimator ~algo estimator in
     if Algorithms.Registry.find algo = None then
       die "unknown algorithm %S (see `fairsched algorithms`)" algo;
-    (match degrade with
-    | None -> ()
-    | Some spec ->
-        if Algorithms.Registry.find spec = None then
-          die "unknown --degrade estimator %S (see `fairsched algorithms`)"
-            spec);
     (match chaos with
     | None -> ()
     | Some spec -> (
@@ -1146,8 +1133,8 @@ let serve_cmd =
       }
     in
     let cfg =
-      Service.Server.make_config ?state_dir:state ~queue_cap
-        ?degrade_to:degrade ~overload ~shards ~addr:listen ~service ()
+      Service.Server.make_config ?state_dir:state ~queue_cap ~overload ~shards
+        ~addr:listen ~service ()
     in
     let ready () =
       Format.printf "fairsched serve: %a listening on %a%s@."
@@ -1170,7 +1157,7 @@ let serve_cmd =
       const run $ listen_arg $ state_arg $ model_arg $ algo_arg
       $ estimator_arg $ norgs_arg
       $ machines_arg $ horizon_arg 50_000 $ seed_arg $ split_arg
-      $ max_restarts_arg $ queue_cap_arg $ chaos_arg $ degrade_arg
+      $ max_restarts_arg $ queue_cap_arg $ chaos_arg
       $ overload_queue_arg $ overload_ms_arg $ overload_trip_arg
       $ overload_recover_arg $ groups_arg $ shards_arg $ federation_arg
       $ log_level_arg $ log_file_arg $ trace_arg $ metrics_arg)
@@ -1379,10 +1366,8 @@ let status_cmd =
               Format.printf "accepted %d  rejected %d  queue %d/%d@."
                 st.Service.Protocol.accepted st.Service.Protocol.rejected
                 st.Service.Protocol.queue_depth st.Service.Protocol.queue_cap;
-              Format.printf "estimator %s%s  shed %d  ack ewma %.1fms@."
-                st.Service.Protocol.estimator
-                (if st.Service.Protocol.degraded then " (DEGRADED)" else "")
-                st.Service.Protocol.shed st.Service.Protocol.ack_ewma_ms;
+              Format.printf "estimator %s  shed %d  ack ewma %.1fms@."
+                st.Service.Protocol.estimator st.Service.Protocol.shed st.Service.Protocol.ack_ewma_ms;
               if st.Service.Protocol.groups > 1 then
                 Format.printf "groups %d  shards %d  fsyncs %d@."
                   st.Service.Protocol.groups st.Service.Protocol.shards
@@ -1503,11 +1488,10 @@ let top_cmd =
         st.Service.Protocol.machines
         (if st.Service.Protocol.draining then "  DRAINING" else "");
       Format.printf
-        "accepted %d  rejected %d  shed %d  queue %d/%d  estimator %s%s@."
+        "accepted %d  rejected %d  shed %d  queue %d/%d  estimator %s@."
         st.Service.Protocol.accepted st.Service.Protocol.rejected
         st.Service.Protocol.shed st.Service.Protocol.queue_depth
-        st.Service.Protocol.queue_cap st.Service.Protocol.estimator
-        (if st.Service.Protocol.degraded then " (DEGRADED)" else "");
+        st.Service.Protocol.queue_cap st.Service.Protocol.estimator;
       Format.printf "groups %d  shards %d  fsyncs %d  ack ewma %.1fms@."
         st.Service.Protocol.groups st.Service.Protocol.shards
         st.Service.Protocol.fsyncs st.Service.Protocol.ack_ewma_ms;
@@ -1551,8 +1535,6 @@ let top_cmd =
           ("shed", "service.shed");
           ("dup acks", "service.dup_acks");
           ("wal failures", "service.wal_sync_failures");
-          ("degrades", "service.degrade_switches");
-          ("recovers", "service.recover_switches");
         ]
       in
       Format.printf "@.service:";

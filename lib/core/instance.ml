@@ -98,3 +98,28 @@ let make ~machines ~jobs ~horizon =
 
 let make_related ~speeds ~machines ~jobs ~horizon =
   make_general ~speeds:(Some speeds) ~machines ~jobs ~horizon
+
+(* h·(h+1) <= q  <=>  h < q / h (floor division), for h > 0; the float
+   square root lands within a step or two of the answer. *)
+let max_horizon ~machines =
+  let q = max_int / 2 / max 1 machines in
+  let fits h = h = 0 || h < q / h in
+  let h = ref (int_of_float (Float.sqrt (float_of_int q))) in
+  while not (fits !h) do
+    decr h
+  done;
+  while fits (!h + 1) do
+    incr h
+  done;
+  !h
+
+let check_horizon ~machines ~horizon =
+  let bound = max_horizon ~machines in
+  if horizon <= bound then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "horizon %d is out of integer range for %d machines: \
+          2*machines*horizon*(horizon+1) must not exceed max_int (%d), so \
+          the largest horizon is %d"
+         horizon machines max_int bound)

@@ -62,6 +62,15 @@ val share : t -> int -> float
 (** [share t u] = fraction of the global pool contributed by [u] — the
     static target share used by the FAIRSHARE family. *)
 
+val max_horizon : machines:int -> int
+(** The largest horizon [h] with [2·machines·h·(h+1) <= max_int].  ψsp is
+    kept as an exact ×2-scaled [int] and v(grand) grows like
+    machines·horizon², so a longer horizon can wrap the utilities
+    silently. *)
+
+val check_horizon : machines:int -> horizon:int -> (unit, string) result
+(** [Error] naming the bound when [horizon > max_horizon ~machines]. *)
+
 val pp : Format.formatter -> t -> unit
 (** One-line summary: k, machines, jobs, horizon. *)
 

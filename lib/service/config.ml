@@ -51,17 +51,19 @@ let make ?speeds ?max_restarts ?(groups = 1) ?(federated = false)
     | Some sp when Array.exists (fun s -> s <= 0.) sp ->
         Error "speeds must be positive"
     | _ ->
-        Ok
-          {
-            machines;
-            speeds;
-            horizon;
-            algorithm;
-            seed;
-            max_restarts;
-            groups;
-            federated;
-          }
+        Result.map
+          (fun () ->
+            {
+              machines;
+              speeds;
+              horizon;
+              algorithm;
+              seed;
+              max_restarts;
+              groups;
+              federated;
+            })
+          (Core.Instance.check_horizon ~machines:total ~horizon)
 
 let organizations t = Array.length t.machines
 let total_machines t = Array.fold_left ( + ) 0 t.machines

@@ -45,7 +45,9 @@ val make :
     would reject later: at least one machine, positive horizon, known
     algorithm, non-negative restart budget, speeds length
     matching the machine count, [1 <= groups <= organizations] with at
-    least one machine per org-group. *)
+    least one machine per org-group, and a horizon within
+    {!Core.Instance.check_horizon}'s integer range (the error names the
+    bound). *)
 
 val organizations : t -> int
 val total_machines : t -> int

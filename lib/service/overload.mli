@@ -7,8 +7,9 @@
     pressure signal has been continuously high for [trip_ms], and drops
     back to [Normal] only after it has been continuously low for
     [recover_ms].  The dwell times are the hysteresis: a single burst or
-    a single idle poll must not flap the estimator back and forth, since
-    every degraded-mode switch costs a full WAL replay (DESIGN.md §14).
+    a single idle poll must not flap shedding on and off.  The level
+    drives backpressure only (shedding and {!retry_after_ms}); the
+    estimator never changes under load (DESIGN.md §14).
 
     Pure state machine over an injected millisecond clock — tests drive
     it with a counter; the server passes {!Obs.Clock} time. *)

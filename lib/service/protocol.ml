@@ -49,7 +49,6 @@ type status = {
   stats : Kernel.Stats.t;
   job_wait : Obs.Metrics.summary option;
   estimator : string;
-  degraded : bool;
   shed : int;
   ack_ewma_ms : float;
   groups : int;
@@ -357,7 +356,6 @@ let status_json s =
       ("waiting", int_array_json s.waiting);
       ("stats", Kernel.Stats.json s.stats);
       ("estimator", String s.estimator);
-      ("degraded", Bool s.degraded);
       ("shed", Int s.shed);
       ("ack_ewma_ms", Float s.ack_ewma_ms);
       ("groups", Int s.groups);
@@ -400,7 +398,6 @@ let status_of_json j =
     | Some (String s) -> Ok s
     | Some _ -> Error "field \"estimator\" must be a string"
   in
-  let* degraded = bool_field j "degraded" ~default:false in
   let* shed = opt_int_field j "shed" ~default:0 in
   let* ack_ewma_ms =
     match member j "ack_ewma_ms" with
@@ -431,7 +428,6 @@ let status_of_json j =
          stats;
          job_wait;
          estimator;
-         degraded;
          shed;
          ack_ewma_ms;
          groups;

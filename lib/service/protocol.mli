@@ -84,8 +84,9 @@ type status = {
   stats : Kernel.Stats.t;
   job_wait : Obs.Metrics.summary option;
       (** submit-to-start latency histogram, when server metrics are on *)
-  estimator : string;  (** live estimator spec (e.g. ["ref"], ["rand:0.1,0.95"]) *)
-  degraded : bool;  (** true while overload has switched the estimator *)
+  estimator : string;
+      (** the configured estimator spec (e.g. ["ref"], ["rand:0.1,0.95"]);
+          a [degraded] key sent by older daemons is ignored *)
   shed : int;  (** feed requests shed by overload protection since boot *)
   ack_ewma_ms : float;  (** smoothed submit-to-ack latency (worst shard) *)
   groups : int;  (** org-group partition size (1 = unsharded) *)

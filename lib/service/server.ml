@@ -13,24 +13,13 @@ type config = {
   state_dir : string option;
   queue_cap : int;
   drain_batch : int;
-  degrade_to : string option;
   overload : Overload.config;
   shards : int;
 }
 
 let make_config ?state_dir ?(queue_cap = 1024) ?(drain_batch = 256)
-    ?degrade_to ?(overload = Overload.default) ?(shards = 1) ~addr ~service
-    () =
-  {
-    addr;
-    service;
-    state_dir;
-    queue_cap;
-    drain_batch;
-    degrade_to;
-    overload;
-    shards;
-  }
+    ?(overload = Overload.default) ?(shards = 1) ~addr ~service () =
+  { addr; service; state_dir; queue_cap; drain_batch; overload; shards }
 
 let m_shed = Obs.Metrics.counter "service.shed"
 
@@ -61,10 +50,7 @@ type tok = Feed_tok of conn * int | Gather_tok of gather
 
 type state = {
   cfg : config;
-  base : Config.t;
-      (* the durable identity: what WAL headers and snapshots carry.
-         A shard's engine config may differ in [algorithm] while
-         degraded. *)
+  base : Config.t;  (* the durable identity: what WAL headers and snapshots carry *)
   part : Partition.t;
   sh : tok Shard.t array;  (* by group *)
   lanes : tok Shard.worker array;  (* one per shard worker domain *)
@@ -73,6 +59,7 @@ type state = {
   comp : tok Shard.completion Shard.Mailbox.t;
   cap_g : int;  (* per-group admission bound *)
   mutable conns : conn list;
+  mutable reserve : Unix.file_descr option;  (* spare fd for EMFILE refusals *)
   mutable router_rejected : int;  (* parse/range/shed rejects *)
   mutable shed : int;
   mutable draining : bool;
@@ -129,10 +116,6 @@ let merge_status s (parts : Shard.status_part array) =
   let sum f = Array.fold_left (fun a p -> a + f p) 0 parts in
   let fmax f = Array.fold_left (fun a p -> Float.max a (f p)) 0.0 parts in
   let imax f = Array.fold_left (fun a p -> max a (f p)) 0 parts in
-  let estimator =
-    let e0 = parts.(0).st_estimator in
-    if Array.for_all (fun p -> p.st_estimator = e0) parts then e0 else "mixed"
-  in
   {
     Protocol.now = imax (fun p -> p.st_now);
     frontier = imax (fun p -> p.st_frontier);
@@ -149,8 +132,7 @@ let merge_status s (parts : Shard.status_part array) =
       Kernel.Stats.total
         (Array.to_list (Array.map (fun p -> p.st_stats) parts));
     job_wait = job_wait_summary ();
-    estimator;
-    degraded = Array.exists (fun p -> p.st_degraded) parts;
+    estimator = s.base.Config.algorithm;
     shed = s.shed;
     ack_ewma_ms = fmax (fun p -> p.st_ewma);
     groups = Partition.groups s.part;
@@ -515,8 +497,35 @@ let reap s =
   List.iter close_conn dead;
   s.conns <- live
 
+(* [select] cannot watch a descriptor at or above FD_SETSIZE. *)
+let fd_setsize = 1024
+let fd_index (fd : Unix.file_descr) : int = Obj.magic fd (* an int on POSIX *)
+
+let take_reserve () =
+  try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+  with Unix.Unix_error _ -> None
+
+(* Answer one connection the daemon cannot serve with a typed refusal and
+   close it; the client backs off and retries. *)
+let refuse fd =
+  (try
+     Unix.set_nonblock fd;
+     let line =
+       Protocol.response_to_line
+         (Protocol.Error
+            {
+              code = Protocol.Backpressure;
+              msg = "no descriptor for another connection";
+              retry_after_ms = Some 100;
+            })
+     in
+     ignore (Unix.write_substring fd line 0 (String.length line))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let accept_conn s listen_fd =
   match Unix.accept listen_fd with
+  | fd, _ when fd_index fd >= fd_setsize -> refuse fd
   | fd, _ ->
       Unix.set_nonblock fd;
       (match s.cfg.addr with
@@ -544,6 +553,18 @@ let accept_conn s listen_fd =
       (* A connection that died between accept-readiness and accept(2)
          must not take the daemon down. *)
       ()
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> (
+      (* Out of descriptors: spend the reserve on accepting the waiting
+         client just to refuse it, then take the reserve back. *)
+      match s.reserve with
+      | None -> ()
+      | Some r ->
+          Unix.close r;
+          s.reserve <- None;
+          (match Unix.accept listen_fd with
+          | fd, _ -> refuse fd
+          | exception Unix.Unix_error _ -> ());
+          s.reserve <- take_reserve ())
 
 let flush_remaining s =
   (* After shutdown: give clients a few seconds to receive what they are
@@ -710,7 +731,7 @@ let run ?(ready = fun () -> ()) cfg =
         let* sd = seg_dir grp in
         let* shard =
           Shard.create ~partition:part ~group:grp ~state_dir:sd
-            ~overload:cfg.overload ~degrade_to:cfg.degrade_to ()
+            ~overload:cfg.overload ()
         in
         go (shard :: acc) (grp + 1)
     in
@@ -761,6 +782,7 @@ let run ?(ready = fun () -> ()) cfg =
       comp;
       cap_g;
       conns = [];
+      reserve = take_reserve ();
       router_rejected = 0;
       shed = 0;
       draining = false;
@@ -773,6 +795,7 @@ let run ?(ready = fun () -> ()) cfg =
   serve_loop s listen_fd;
   flush_remaining s;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  Option.iter Unix.close s.reserve;
   Addr.cleanup cfg.addr;
   Array.iter Shard.stop_worker lanes;
   Shard.Mailbox.close comp;

@@ -29,16 +29,21 @@
     client before its record is durable: an acked submission survives
     [kill -9].
 
-    Robustness (DESIGN.md §14) is unchanged per group: (cid, cseq)
-    dedupe rebuilt from the WAL on recovery; overload detection driving
-    shedding and (with [degrade_to]) estimator degradation — both now
-    per group, so one hot org-group sheds or degrades while the others
-    stay healthy.  Health is visible in [status] (estimator/degraded/
-    shed/ack_ewma_ms/groups/shards/fsyncs) and in [Obs.Metrics]
-    ([service.shed], [service.dup_acks], [service.degrade_switches],
-    [service.recover_switches], [service.wal_sync_failures],
-    [service.fsync_total], [service.acks_total], [service.queue_depth],
-    [service.ack_ewma_ms]).
+    Robustness (DESIGN.md §14) is per group: (cid, cseq) dedupe rebuilt
+    from the WAL on recovery; overload detection driving shedding with
+    [retry_after_ms] hints, so one hot org-group sheds while the others
+    stay healthy.  The estimator never changes while serving.  Health is
+    visible in [status] (estimator/shed/ack_ewma_ms/groups/shards/
+    fsyncs) and in [Obs.Metrics] ([service.shed], [service.dup_acks],
+    [service.wal_sync_failures], [service.fsync_total],
+    [service.acks_total], [service.queue_depth], [service.ack_ewma_ms]).
+
+    Descriptor exhaustion is a refusal, not a crash: the router holds
+    one reserve descriptor, and when [accept] fails with [EMFILE] or
+    [ENFILE] it frees the reserve, accepts, answers one [backpressure]
+    error line carrying [retry_after_ms], closes, and re-takes the
+    reserve.  An accepted descriptor at or above [FD_SETSIZE] (which
+    [select] cannot watch) is refused the same way.
 
     Shutdown: a [drain] request or SIGTERM runs every group's engine to
     the horizon, writes final snapshots, answers pending clients,
@@ -65,14 +70,6 @@ type config = {
           rejects and control requests are answered without consuming
           the budget (shedding must stay cheap under the flood that
           caused it). *)
-  degrade_to : string option;
-      (** estimator spec to switch to under sustained overload (e.g.
-          ["rand:0.1,0.9"]); [None] disables degraded mode.  The switch —
-          and the switch back on recovery — is logged as a [Mode] WAL
-          record in the affected group's segment and enacted by
-          rebuilding that group's engine from its full record history
-          under the new estimator, so crash recovery reproduces it
-          bit-identically. *)
   overload : Overload.config;  (** detector thresholds and dwell times *)
   shards : int;
       (** worker domains executing the org-groups, clamped to
@@ -87,15 +84,14 @@ val make_config :
   ?state_dir:string ->
   ?queue_cap:int ->
   ?drain_batch:int ->
-  ?degrade_to:string ->
   ?overload:Overload.config ->
   ?shards:int ->
   addr:Addr.t ->
   service:Config.t ->
   unit ->
   config
-(** Defaults: queue_cap 1024, drain_batch 256, no degraded mode,
-    {!Overload.default} thresholds, shards 1. *)
+(** Defaults: queue_cap 1024, drain_batch 256, {!Overload.default}
+    thresholds, shards 1. *)
 
 val run : ?ready:(unit -> unit) -> config -> (unit, string) result
 (** Bind, recover, serve until drained.  [ready] fires once the socket

@@ -17,8 +17,6 @@ let fed_active_lock = Mutex.create ()
 let fed_active : (int, int) Hashtbl.t = Hashtbl.create 8
 
 let m_dup_acks = Obs.Metrics.counter "service.dup_acks"
-let m_degrade = Obs.Metrics.counter "service.degrade_switches"
-let m_recover = Obs.Metrics.counter "service.recover_switches"
 let m_wal_sync_failures = Obs.Metrics.counter "service.wal_sync_failures"
 let m_fsync = Obs.Metrics.counter "service.fsync_total"
 let m_acks = Obs.Metrics.counter "service.acks_total"
@@ -108,8 +106,6 @@ type status_part = {
   st_rejected : int;
   st_waiting : int array;
   st_stats : Kernel.Stats.t;
-  st_estimator : string;
-  st_degraded : bool;
   st_ewma : float;
   st_fsyncs : int;
 }
@@ -144,9 +140,7 @@ type 'tok t = {
   sub : Config.t;  (* this group's induced config (drives the engine) *)
   state_dir : string option;  (* this segment's directory *)
   site_prefix : string;
-  degrade_to : string option;
-  mutable online : Online.t;
-  mutable estimator : string;
+  online : Online.t;
   mutable writer : Wal.writer option;
   mutable seq : int;
   mutable records_rev : Wal.record list;
@@ -164,12 +158,11 @@ type 'tok t = {
   pub_retry_ms : int Atomic.t;
   depth : int Atomic.t;  (* mailbox+backlog feeds: router ++, worker -- *)
   (* fairness SLO instruments (DESIGN.md §16): per-org ψ/p gauges under
-     global org ids, the group's max |ψ−p| drift, and the estimator's
-     Thm 5.6 sample budget — refreshed by the pump, throttled *)
+     global org ids and the group's max |ψ−p| drift — refreshed by the
+     pump, throttled *)
   slo_psi : Obs.Metrics.gauge array;
   slo_p : Obs.Metrics.gauge array;
   slo_drift : Obs.Metrics.gauge;
-  slo_budget : Obs.Metrics.gauge;
   (* consortium membership gauge (federated daemons): machines homed in
      this group currently lent to another owner *)
   fed_lent : Obs.Metrics.gauge;
@@ -229,10 +222,10 @@ let acked dedupe ~cid ~cseq resp =
   Ok (Some resp)
 
 (* Feed one record to the engine and build the ack it earns, cached in
-   [dedupe] when given.  The live feed and replay (recovery, estimator
-   switches) both come here, so a dedupe entry rebuilt from the log
-   equals the live ack by construction.  [Mode] records describe
-   estimator switches, not engine input: no ack. *)
+   [dedupe] when given.  The live feed and boot recovery both come here,
+   so a dedupe entry rebuilt from the log equals the live ack by
+   construction.  [Mode] records are legacy estimator switches, not
+   engine input: no ack. *)
 let apply ?dedupe ~part online = function
   | Wal.Submit { seq; org; user; release; size; cid; cseq } -> (
       match
@@ -267,13 +260,28 @@ let rec replay ?dedupe ~part online = function
             (Printf.sprintf "replay: record %d rejected: %s" (Wal.seq_of r)
                (Online.error_to_string e)))
 
-(* The estimator a record list leaves the shard in: the last Mode record
-   wins, the base algorithm otherwise. *)
-let final_estimator ~base records =
-  List.fold_left
-    (fun acc r ->
-      match r with Wal.Mode { estimator; _ } -> estimator | _ -> acc)
-    base.Config.algorithm records
+(* Logs written by daemons that still switched estimators under overload
+   may hold [Mode] records.  Replaying them under the base algorithm is
+   the same boot as before only if the last switch went back to it;
+   anything else would silently re-decide history under another
+   estimator, so boot refuses. *)
+let check_modes ~group ~algorithm records =
+  let last_mode =
+    List.fold_left
+      (fun acc r ->
+        match r with
+        | Wal.Mode { seq; estimator } -> Some (seq, estimator)
+        | _ -> acc)
+      None records
+  in
+  match last_mode with
+  | Some (seq, estimator) when estimator <> algorithm ->
+      Error
+        (Printf.sprintf
+           "segment %d: Mode record %d leaves the estimator at %S, not the \
+            configured %S; refusing to replay it under another estimator"
+           group seq estimator algorithm)
+  | Some _ | None -> Ok ()
 
 (* The Thm 5.6 sample budget of the live estimator spec: how many joining
    orders one contribution evaluation draws (0 for exact REF).  Published
@@ -289,7 +297,7 @@ let estimator_budget ~spec ~players =
 
 (* --- Creation / recovery ------------------------------------------------- *)
 
-let create ~partition ~group ~state_dir ~overload ~degrade_to () =
+let create ~partition ~group ~state_dir ~overload () =
   let ( let* ) = Result.bind in
   let base = Partition.config partition in
   let sub = Partition.sub_config partition group in
@@ -314,15 +322,8 @@ let create ~partition ~group ~state_dir ~overload ~degrade_to () =
         in
         Ok (r.Wal.r_records, r.Wal.r_last_seq)
   in
-  (* Recovery shortcut for Mode records: build the engine once under the
-     final estimator and feed it everything — equivalent by induction,
-     each switch was itself defined as "fresh engine + full history". *)
-  let estimator = final_estimator ~base records in
-  let online =
-    Online.create
-      (if estimator = sub.Config.algorithm then sub
-       else { sub with Config.algorithm = estimator })
-  in
+  let* () = check_modes ~group ~algorithm:sub.Config.algorithm records in
+  let online = Online.create sub in
   let dedupe = Hashtbl.create 64 in
   let* () = replay ~dedupe ~part:partition online records in
   Obs.Log.info ~component:"wal"
@@ -331,7 +332,7 @@ let create ~partition ~group ~state_dir ~overload ~degrade_to () =
         ("group", Obs.Json.Int group);
         ("records", Obs.Json.Int (List.length records));
         ("last_seq", Obs.Json.Int last_seq);
-        ("estimator", Obs.Json.String estimator);
+        ("estimator", Obs.Json.String sub.Config.algorithm);
       ]
     "segment recovered";
   (* Compact on boot: one snapshot covering everything recovered, then a
@@ -363,14 +364,13 @@ let create ~partition ~group ~state_dir ~overload ~degrade_to () =
   let slo_drift =
     Obs.Metrics.gauge (Printf.sprintf "fair.drift_max_g%d" group)
   in
-  let slo_budget =
-    Obs.Metrics.gauge (Printf.sprintf "fair.estimator_budget_g%d" group)
-  in
   let fed_lent =
     Obs.Metrics.gauge (Printf.sprintf "fed.machines_lent_g%d" group)
   in
-  Obs.Metrics.set slo_budget
-    (estimator_budget ~spec:estimator ~players:(org_hi - org_lo));
+  (* the estimator is fixed, so its Thm 5.6 sample budget is set once *)
+  Obs.Metrics.set
+    (Obs.Metrics.gauge (Printf.sprintf "fair.estimator_budget_g%d" group))
+    (estimator_budget ~spec:sub.Config.algorithm ~players:(org_hi - org_lo));
   if base.Config.federated then
     Mutex.protect fed_active_lock (fun () ->
         Hashtbl.replace fed_active group
@@ -383,9 +383,7 @@ let create ~partition ~group ~state_dir ~overload ~degrade_to () =
       sub;
       state_dir;
       site_prefix;
-      degrade_to;
       online;
-      estimator;
       writer;
       seq = last_seq;
       records_rev = List.rev records;
@@ -406,7 +404,6 @@ let create ~partition ~group ~state_dir ~overload ~degrade_to () =
       slo_psi;
       slo_p;
       slo_drift;
-      slo_budget;
       fed_lent;
       slo_last = 0.;
     }
@@ -523,7 +520,8 @@ let dedupe_hit t ~cid ~cseq =
     | Some (last, _) when cseq < last && cseq > 0 -> Some (`Stale last)
     | Some _ | None -> None
 
-(* Log an accepted record: WAL buffer, in-memory history, sequence. *)
+(* Log an accepted record: WAL buffer, in-memory history (kept for
+   snapshots), sequence. *)
 let log t record =
   t.seq <- Wal.seq_of record;
   Option.iter (fun w -> Wal.append w record) t.writer;
@@ -598,8 +596,6 @@ let status_part t =
     st_rejected = t.rejected;
     st_waiting = Online.queue_depths t.online;
     st_stats = Kernel.Stats.copy (Online.stats t.online);
-    st_estimator = t.estimator;
-    st_degraded = t.estimator <> t.base.Config.algorithm;
     st_ewma = Overload.ack_ewma_ms t.detector;
     st_fsyncs = t.fsyncs;
   }
@@ -658,74 +654,6 @@ let query t ~post ~now tok q =
         List.iter post (commit t ~now)
       end;
       part (P_drain (drain_part t ~detail))
-
-(* --- Degraded mode -------------------------------------------------------
-   Switch the live estimator by rebuild-and-replay: log a Mode record,
-   construct a fresh engine under the new algorithm, and feed it every
-   accepted record.  Kernel determinism makes this exactly "a fresh
-   session with the new estimator given the same history" — which is
-   also precisely what crash recovery reproduces from the log, so a
-   crash at any point around the switch stays bit-identical. *)
-
-let switch_estimator t spec =
-  log t (Wal.Mode { seq = t.seq + 1; estimator = spec });
-  let online = Online.create { t.sub with Config.algorithm = spec } in
-  match replay ~part:t.part online (List.rev t.records_rev) with
-  | Ok () ->
-      t.online <- online;
-      t.estimator <- spec;
-      true
-  | Error msg ->
-      (* Accepted records cannot be rejected on replay (determinism);
-         reaching here is an invariant violation.  Keep the old engine
-         rather than serve from a half-fed one. *)
-      Obs.Log.error ~component:"shard"
-        ~fields:
-          [
-            ("group", Obs.Json.Int t.group);
-            ("estimator", Obs.Json.String spec);
-          ]
-        "estimator switch failed: %s" msg;
-      false
-
-let maybe_switch t =
-  match t.degrade_to with
-  | None -> ()
-  | Some spec ->
-      if not t.draining then begin
-        match Overload.level t.detector with
-        | Overload.Overloaded when t.estimator <> spec ->
-            if switch_estimator t spec then begin
-              Obs.Metrics.incr m_degrade;
-              Obs.Metrics.set t.slo_budget
-                (estimator_budget ~spec
-                   ~players:(Config.organizations t.sub));
-              Obs.Log.warn ~component:"shard"
-                ~fields:
-                  [
-                    ("group", Obs.Json.Int t.group);
-                    ("event", Obs.Json.String "degrade");
-                    ("estimator", Obs.Json.String spec);
-                  ]
-                "overload: degrading estimator to %s" spec
-            end
-        | Overload.Normal when t.estimator <> t.base.Config.algorithm ->
-            if switch_estimator t t.base.Config.algorithm then begin
-              Obs.Metrics.incr m_recover;
-              Obs.Metrics.set t.slo_budget
-                (estimator_budget ~spec:t.estimator
-                   ~players:(Config.organizations t.sub));
-              Obs.Log.warn ~component:"shard"
-                ~fields:
-                  [
-                    ("group", Obs.Json.Int t.group);
-                    ("event", Obs.Json.String "recover");
-                    ("estimator", Obs.Json.String t.estimator);
-                  ]
-                "recovered: estimator back to %s" t.estimator
-            end
-        | Overload.Overloaded | Overload.Normal -> ()
-      end
 
 (* --- Worker: one domain (or the router thread) executing >= 1 shards ----- *)
 
@@ -815,7 +743,6 @@ let pump w =
   List.iter
     (fun (_, sh) ->
       List.iter w.w_post (commit sh ~now);
-      maybe_switch sh;
       publish_slo sh ~now;
       let depth = Atomic.get sh.depth in
       Overload.observe_queue sh.detector ~depth ~cap:w.w_cap;

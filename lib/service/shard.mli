@@ -25,9 +25,13 @@
 
     {b One feed path.}  A feed becomes its WAL record, is checked, logged
     and then applied to the engine by one function that also builds the
-    ack.  Boot recovery and [--degrade] estimator switches replay the log
-    through that same function, so the rebuilt dedupe table holds exactly
-    the acks the live daemon sent. *)
+    ack.  Boot recovery replays the log through that same function, so
+    the rebuilt dedupe table holds exactly the acks the live daemon sent.
+
+    {b One estimator.}  A shard's engine runs the configured algorithm
+    for its whole life.  Overload is answered with backpressure (shedding
+    and [retry_after_ms]), never by re-deciding history under a cheaper
+    estimator: started jobs cannot move (DESIGN.md §14). *)
 
 (** A mutex-protected queue with a pipe for readiness, so the consumer
     can [select] with a timeout (the idle tick).  SPSC in the daemon,
@@ -77,8 +81,6 @@ type status_part = {
   st_rejected : int;
   st_waiting : int array;  (** local org indexing *)
   st_stats : Kernel.Stats.t;
-  st_estimator : string;
-  st_degraded : bool;
   st_ewma : float;
   st_fsyncs : int;
 }
@@ -114,14 +116,19 @@ val create :
   group:int ->
   state_dir:string option ->
   overload:Overload.config ->
-  degrade_to:string option ->
   unit ->
   ('tok t, string) result
 (** Recover the group's segment ([state_dir] is {e this segment's}
     directory — the flat state dir when unsharded, [wal-<g>/] otherwise),
     verify its stored config equals the partition's, replay into a fresh
-    engine under the final estimator, rebuild the dedupe cache, compact
-    on boot, and open a fresh site-prefixed WAL. *)
+    engine under the configured algorithm, rebuild the dedupe cache,
+    compact on boot, and open a fresh site-prefixed WAL.
+
+    A segment written by an older daemon may hold legacy {!Wal.Mode}
+    records.  If the last one names the configured algorithm, they are
+    skipped and the boot is the same as without them; otherwise boot is
+    refused with an error naming the segment, that record's seq and its
+    estimator. *)
 
 val group : _ t -> int
 val sub_config : _ t -> Config.t

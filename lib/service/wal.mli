@@ -69,8 +69,11 @@ type record =
           ({!Protocol.endow_event_fields}); replay feeds it back through
           {!Online.endow} so recovered ownership is bit-identical *)
   | Mode of { seq : int; estimator : string }
-      (** the server switched the live estimator (degraded mode); logged
-          so WAL replay reproduces the switch deterministically *)
+      (** legacy: an estimator switch logged by daemons that still
+          changed estimators under overload.  Still decoded and counted
+          ([ctl wal-check]); nothing writes it any more, and boot refuses
+          a segment whose last [Mode] names another estimator than the
+          configured one ({!Shard.create}) *)
 
 val seq_of : record -> int
 val record_to_json : record -> Obs.Json.t
@@ -78,7 +81,7 @@ val record_of_json : Obs.Json.t -> (record, string) result
 
 val is_feed : record -> bool
 (** [Submit]/[Fault]/[Endow] — records that feed the engine (a [Mode]
-    switch does not count toward accepted submissions). *)
+    record does not count toward accepted submissions). *)
 
 val record_of_request : seq:int -> Protocol.request -> record option
 (** The record a feed request is logged as at sequence [seq] (its trace

@@ -238,12 +238,21 @@ let test_service_flag_errors () =
                /nonexistent/deep/state"
     ~expect:"fairsched:"
 
-(* Chaos/degrade plans are validated before the daemon binds anything. *)
+(* Chaos plans are validated before the daemon binds anything.  The
+   overload estimator switch is gone: --degrade is an unknown option. *)
 let test_chaos_flag_errors () =
   check_error "serve --chaos explode@wal-append" ~expect:"unknown action";
   check_error "serve --chaos crash" ~expect:"ACTION@TARGET";
   check_error "serve --chaos crash@x:0" ~expect:"bad hit count";
-  check_error "serve --degrade nosuchestimator" ~expect:"unknown --degrade"
+  check_error "serve --degrade rand:0.25,0.5" ~expect:"unknown option"
+
+(* ψsp is an exact ×2-scaled int, so the horizon is bounded by
+   2·machines·horizon·(horizon+1) <= max_int = 2^62 - 1.  With 2 machines
+   the largest horizon is 2^30 - 1; one past it is refused before any
+   work (simulate) or binding (serve). *)
+let test_horizon_range () =
+  check_error "simulate -k 2 -m 2 --horizon 1073741824" ~expect:"max_int";
+  check_error "serve -k 2 -m 2 --horizon 1073741824" ~expect:"max_int"
 
 (* --- durability inspection (ctl wal-check) ------------------------------ *)
 
@@ -446,6 +455,101 @@ let test_wal_check_json_segmented () =
             && seg_field s1 "status" = Some (Obs.Json.String "corrupt"))
       | segs -> Alcotest.failf "expected 2 segments, got %d" (List.length segs))
 
+(* Descriptor exhaustion is a refusal, not a crash.  Under an fd limit
+   of 64, a flood of 80 clients gets typed backpressure refusals for the
+   overflow, the daemon stays up, and once the flood is gone a fresh
+   client's submit is acked. *)
+let test_fd_exhaustion () =
+  with_scratch_dir @@ fun dir ->
+  let sock = Filename.concat dir "d.sock" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process "/bin/sh"
+      [|
+        "/bin/sh";
+        "-c";
+        Printf.sprintf
+          "ulimit -n 64; exec %s serve --listen unix:%s -k 2 -m 2 --horizon \
+           1000"
+          (Filename.quote exe) (Filename.quote sock);
+      |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+  @@ fun () ->
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX sock) with
+    | () -> fd
+    | exception e ->
+        Unix.close fd;
+        raise e
+  in
+  let rec wait_listening n =
+    match connect () with
+    | fd -> Unix.close fd
+    | exception Unix.Unix_error _ when n > 0 ->
+        Unix.sleepf 0.05;
+        wait_listening (n - 1)
+  in
+  wait_listening 200;
+  let flood = List.init 80 (fun _ -> connect ()) in
+  (* Collect what the daemon says to the flood within a second: the
+     connections it cannot hold get one refusal line each. *)
+  let said = Hashtbl.create 80 in
+  let chunk = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  let open_fds = ref flood in
+  while !open_fds <> [] && Unix.gettimeofday () < deadline do
+    let rs, _, _ = Unix.select !open_fds [] [] 0.1 in
+    List.iter
+      (fun fd ->
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> open_fds := List.filter (( <> ) fd) !open_fds
+        | n ->
+            Hashtbl.replace said fd
+              (Option.value ~default:"" (Hashtbl.find_opt said fd)
+              ^ Bytes.sub_string chunk 0 n)
+        | exception Unix.Unix_error _ ->
+            open_fds := List.filter (( <> ) fd) !open_fds)
+      rs
+  done;
+  let refusals =
+    Hashtbl.fold
+      (fun _ line n ->
+        if contains line "backpressure" && contains line "retry_after_ms" then
+          n + 1
+        else n)
+      said 0
+  in
+  Alcotest.(check bool) "overflow refused with a retry hint" true (refusals > 0);
+  Alcotest.(check bool) "daemon alive after the flood" true
+    (fst (Unix.waitpid [ Unix.WNOHANG ] pid) = 0);
+  List.iter Unix.close flood;
+  Unix.sleepf 0.2;
+  let fd = connect () in
+  let line = {|{"op":"submit","org":0,"user":0,"release":1,"size":2}|} ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  let reply = ref "" in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while
+    (not (String.contains !reply '\n')) && Unix.gettimeofday () < deadline
+  do
+    match Unix.select [ fd ] [] [] 0.1 with
+    | [], _, _ -> ()
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> reply := !reply ^ "\n"
+        | n -> reply := !reply ^ Bytes.sub_string chunk 0 n)
+  done;
+  Unix.close fd;
+  Alcotest.(check bool) ("fresh submit acked: " ^ !reply) true
+    (contains !reply {|"ok":true|} && contains !reply {|"op":"submit"|})
+
 let test_service_unreachable_daemon () =
   (* Clients against a daemon that is not there: exit 2, one-line message. *)
   check_error "status --to unix:/nonexistent/no-daemon.sock"
@@ -493,6 +597,8 @@ let () =
         [
           Alcotest.test_case "flag errors" `Quick test_service_flag_errors;
           Alcotest.test_case "chaos flag errors" `Quick test_chaos_flag_errors;
+          Alcotest.test_case "horizon range" `Quick test_horizon_range;
+          Alcotest.test_case "fd exhaustion" `Quick test_fd_exhaustion;
           Alcotest.test_case "wal-check" `Quick test_wal_check;
           Alcotest.test_case "wal-check-segmented" `Quick
             test_wal_check_segmented;

@@ -5,6 +5,13 @@
 let ( let@ ) f x = f x
 let with_tmpdir = Support.with_tmpdir
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
 (* --- Config ----------------------------------------------------------------- *)
 
 let mk_config ?speeds ?max_restarts ?groups
@@ -60,6 +67,41 @@ let test_config_validation () =
   reject "bad restarts" ~max_restarts:(-1);
   reject "speeds length" ~speeds:[| 1.0; 1.0 |];
   reject "zero speed" ~speeds:[| 0.0 |]
+
+(* ψsp is an exact ×2-scaled int: at the largest horizon Config accepts,
+   every machine busy from 0 to the horizon still drains with ψsp >= 0,
+   and one step past it is refused with an error naming the bound. *)
+let range_bound_qcheck =
+  QCheck.Test.make ~count:12 ~name:"largest accepted horizon drains with psi >= 0"
+    QCheck.(pair (int_range 1 3) (int_range 1 4))
+    (fun (orgs, per) ->
+      let machines = Array.make orgs per in
+      let horizon = Core.Instance.max_horizon ~machines:(orgs * per) in
+      let make horizon =
+        Service.Config.make ~machines ~horizon ~algorithm:"fairshare" ~seed:1 ()
+      in
+      (match make (horizon + 1) with
+      | Ok _ -> QCheck.Test.fail_reportf "horizon %d accepted" (horizon + 1)
+      | Error msg ->
+          if not (contains msg "max_int") then
+            QCheck.Test.fail_reportf "error does not name the bound: %s" msg);
+      match make horizon with
+      | Error msg -> QCheck.Test.fail_reportf "horizon %d refused: %s" horizon msg
+      | Ok config ->
+          let online = Service.Online.create config in
+          for org = 0 to orgs - 1 do
+            for _ = 1 to per do
+              match
+                Service.Online.submit online ~org ~size:horizon ~release:0 ()
+              with
+              | Ok _ -> ()
+              | Error e ->
+                  QCheck.Test.fail_report (Service.Online.error_to_string e)
+            done
+          done;
+          Service.Online.drain online;
+          let psi = Service.Online.psi_scaled online in
+          Array.for_all (fun v -> v > 0) psi)
 
 (* --- Addr ------------------------------------------------------------------- *)
 
@@ -189,13 +231,25 @@ let test_protocol_responses () =
          job_wait =
            Some { Obs.Metrics.count = 5; p50 = 1.; p90 = 2.; p99 = 4.; max = 4. };
          estimator = "rand:0.1,0.9";
-         degraded = true;
          shed = 17;
          ack_ewma_ms = 3.5;
          groups = 2;
          shards = 2;
          fsyncs = 9;
        });
+  (* Daemons that still switched estimators under overload sent a
+     "degraded" member; it must be ignored, not rejected. *)
+  let old_line =
+    {|{"ok":true,"op":"status","now":10,"frontier":12,"horizon":100,"orgs":1,"machines":2,"accepted":3,"rejected":0,"queue_depth":0,"queue_cap":8,"draining":false,"waiting":[0],"stats":|}
+    ^ Obs.Json.to_string (Kernel.Stats.json stats)
+    ^ {|,"estimator":"ref","degraded":true,"shed":4}|}
+  in
+  (match Service.Protocol.response_of_line old_line with
+  | Ok (Service.Protocol.Status_ok st) ->
+      Alcotest.(check string) "estimator kept" "ref" st.Service.Protocol.estimator;
+      Alcotest.(check int) "shed kept" 4 st.Service.Protocol.shed
+  | Ok _ -> Alcotest.fail "old status line decoded as another response"
+  | Error msg -> Alcotest.failf "old status line refused: %s" msg);
   roundtrip
     (Service.Protocol.Drain_ok
        {
@@ -865,6 +919,124 @@ let test_crash_recovery () =
         (stats_string r.Service.Protocol.d_stats)
   | _ -> Alcotest.fail "drain: unexpected response");
   Service.Client.close client
+
+(* --- Legacy Mode records ------------------------------------------------------
+   Daemons that switched estimators under overload logged each switch as
+   a Mode record.  A state dir whose last switch returned to the
+   configured algorithm boots exactly as if the switches were absent; one
+   left on another estimator is refused, never replayed under it. *)
+
+let legacy_state_dir ~state_dir ~service instance ~modes =
+  Unix.mkdir state_dir 0o755;
+  let w =
+    match Service.Wal.create ~dir:state_dir ~config:service () with
+    | Ok w -> w
+    | Error msg -> Alcotest.failf "wal create: %s" msg
+  in
+  let seq = ref 0 in
+  let next () =
+    incr seq;
+    !seq
+  in
+  let jobs = instance.Core.Instance.jobs in
+  (* the switches land before job n/3, then 2n/3 *)
+  let switch_at =
+    List.mapi (fun k m -> ((k + 1) * Array.length jobs / 3, m)) modes
+  in
+  Array.iteri
+    (fun i (j : Core.Job.t) ->
+      Option.iter
+        (fun estimator ->
+          Service.Wal.append w (Service.Wal.Mode { seq = next (); estimator }))
+        (List.assoc_opt i switch_at);
+      Service.Wal.append w
+        (Service.Wal.Submit
+           {
+             seq = next ();
+             org = j.Core.Job.org;
+             user = j.Core.Job.user;
+             release = j.Core.Job.release;
+             size = j.Core.Job.size;
+             cid = 0;
+             cseq = 0;
+           }))
+    jobs;
+  (match Service.Wal.sync w with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "wal sync: %s" msg);
+  Service.Wal.close w
+
+let legacy_setup dir =
+  let algorithm = "fairshare" and seed = 5 in
+  let instance = Workload.Scenario.instance spec ~seed:23 in
+  let service =
+    match
+      Service.Config.make
+        ~machines:(Array.copy instance.Core.Instance.machines)
+        ~horizon:instance.Core.Instance.horizon ~algorithm ~seed ()
+    with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "config: %s" msg
+  in
+  ( instance,
+    service,
+    Filename.concat dir "state",
+    Service.Addr.Unix_sock (Filename.concat dir "d.sock") )
+
+let test_boot_mode_back_to_base () =
+  let@ dir = with_tmpdir in
+  let instance, service, state_dir, addr = legacy_setup dir in
+  legacy_state_dir ~state_dir ~service instance
+    ~modes:[ "rand:0.25,0.5"; service.Service.Config.algorithm ];
+  let batch = batch_result ~algorithm:"fairshare" ~seed:5 instance in
+  let@ _pid = with_server ~state_dir ~service addr in
+  let client = connect_retry addr in
+  (match request_ok client (Service.Protocol.Drain { detail = false }) with
+  | Service.Protocol.Drain_ok r ->
+      Alcotest.(check (array int)) "psi identical to batch"
+        batch.Sim.Driver.utilities_scaled r.Service.Protocol.d_psi_scaled
+  | _ -> Alcotest.fail "drain: unexpected response");
+  Service.Client.close client
+
+let test_boot_mode_refused () =
+  let@ dir = with_tmpdir in
+  let instance, service, state_dir, addr = legacy_setup dir in
+  legacy_state_dir ~state_dir ~service instance ~modes:[ "rand:0.25,0.5" ];
+  (* Boot in a child: a daemon that (wrongly) comes up would serve
+     forever, so the parent reads the outcome from a pipe and kills it. *)
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close r;
+      let say s = ignore (Unix.write_substring w s 0 (String.length s)) in
+      let cfg = Service.Server.make_config ~state_dir ~addr ~service () in
+      (match Service.Server.run ~ready:(fun () -> say "READY") cfg with
+      | Ok () -> ()
+      | Error msg -> say msg);
+      Stdlib.exit 0
+  | pid ->
+      Unix.close w;
+      let buf = Buffer.create 256 and chunk = Bytes.create 256 in
+      let rec read_all () =
+        match Unix.read r chunk 0 256 with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            if Buffer.contents buf <> "READY" then read_all ()
+      in
+      read_all ();
+      Unix.close r;
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      let msg = Buffer.contents buf in
+      let has = contains msg in
+      (* the one switch is logged just before job n/3, as record n/3 + 1 *)
+      let mode_seq = 1 + (Array.length instance.Core.Instance.jobs / 3) in
+      Alcotest.(check bool) ("refused: " ^ msg) true
+        (msg <> "READY"
+        && has "segment 0"
+        && has (Printf.sprintf "Mode record %d" mode_seq)
+        && has "rand:0.25,0.5")
 
 let test_backpressure () =
   let@ dir = with_tmpdir in
@@ -1648,6 +1820,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_config_roundtrip;
           Alcotest.test_case "validation" `Quick test_config_validation;
+          QCheck_alcotest.to_alcotest range_bound_qcheck;
         ] );
       ("addr", [ Alcotest.test_case "parse" `Quick test_addr ]);
       ( "protocol",
@@ -1691,6 +1864,9 @@ let () =
           Alcotest.test_case "served-equivalence" `Quick
             test_served_equivalence;
           Alcotest.test_case "crash-recovery" `Quick test_crash_recovery;
+          Alcotest.test_case "boot-mode-back-to-base" `Quick
+            test_boot_mode_back_to_base;
+          Alcotest.test_case "boot-mode-refused" `Quick test_boot_mode_refused;
           Alcotest.test_case "backpressure" `Quick test_backpressure;
           Alcotest.test_case "dedupe" `Quick test_dedupe;
           Alcotest.test_case "resilient-stamping" `Quick

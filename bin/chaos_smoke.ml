@@ -1,15 +1,17 @@
 (* Chaos campaign for the service layer, driven through the REAL
    `fairsched` binary (argv.(1)) plus in-process Wal/Fuzz trials:
 
-   1. crash-point campaign — for every named crash window of the
-      WAL/snapshot protocol (`--chaos crash@SITE`), submit a golden
-      instance through a daemon that dies mid-protocol, restart it on
-      the same state dir, retransmit with the same (cid, cseq), and
-      check: no acked submission lost, none double-applied, final ψsp
-      and kernel stats bit-identical to the uninterrupted batch run;
+   1. crash-point campaign — for every named crash window of the WAL
+      protocol (`--chaos crash@SITE`), submit a golden instance through
+      a daemon that dies mid-protocol, restart it on the same state dir
+      (some windows arm a second plan for the restarted life, so a torn
+      tail left by one life meets the reopen path of the next),
+      retransmit with the same (cid, cseq), and check: no acked
+      submission lost, none double-applied, final ψsp and kernel stats
+      bit-identical to the uninterrupted batch run;
    2. corruption fuzzing — seeded random mutations (bit flips,
       truncation, dup/swap/drop lines, garbage tails) of a golden WAL
-      and snapshot; recovery must either return a consistent prefix of
+      and legacy snapshot; recovery must either return a consistent prefix of
       the original records or refuse to start with a typed error naming
       the corrupt offset, plus deterministic multi-record torn-tail
       cuts that must recover the exact intact prefix, plus
@@ -49,10 +51,19 @@ let write_file path content =
 
 type daemon = {
   mutable pid : int;
-  args : string list;  (* respawn args: no --chaos, same state dir *)
+  args : string list;  (* serve args without --chaos, same state dir *)
+  mutable plans : string list;  (* chaos plans of the lives to come *)
   mutable restarts : int;
   ctx : string;  (* "SPEC seed N" for failure messages *)
 }
+
+(* Spawn the next life, armed with the next plan if one is left. *)
+let spawn_life d =
+  match d.plans with
+  | plan :: rest ->
+      d.plans <- rest;
+      spawn_serve (d.args @ [ "--chaos"; plan ])
+  | [] -> spawn_serve d.args
 
 let revive d =
   match Unix.waitpid [ Unix.WNOHANG ] d.pid with
@@ -63,10 +74,10 @@ let revive d =
       | Unix.WEXITED c -> fail "[%s] daemon died with exit %d" d.ctx c
       | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
           fail "[%s] daemon died of a signal" d.ctx);
-      d.pid <- spawn_serve d.args;
+      d.pid <- spawn_life d;
       d.restarts <- d.restarts + 1
   | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-      d.pid <- spawn_serve d.args;
+      d.pid <- spawn_life d;
       d.restarts <- d.restarts + 1
 
 type ep = {
@@ -118,30 +129,30 @@ let rec call ep req n =
 
 (* --- phase 1: crash-point campaign --------------------------------------- *)
 
-(* (chaos spec, expect the daemon to die, needs a mid-stream snapshot) *)
+(* (chaos plan of each life, expect every plan to kill its life).  Lives
+   past the listed plans run unarmed. *)
 let crash_specs =
   [
-    ("crash@wal-append:3", true, false);
-    ("crash@wal-append:7", true, false);
-    ("crash@before-wal-append:4", true, false);
-    ("crash@after-wal-append:3", true, false);
-    ("crash@wal-fsync:3", true, false);
-    ("crash@after-wal-fsync:2", true, false);
-    ("torn@wal-append:3=5", true, false);
-    ("torn@wal-append:5=1", true, false);
-    ("enospc@wal-fsync:3", false, false);
-    ("eio@wal-append:4", false, false);
-    ("crash@snap-open:1", true, true);
-    ("crash@snap-write:1", true, true);
-    ("crash@snap-fsync:1", true, true);
-    ("crash@before-snapshot-rename:1", true, true);
-    ("crash@snap-rename:1", true, true);
-    ("crash@after-snapshot-rename:1", true, true);
-    ("crash@before-wal-reset:1", true, true);
-    ("crash@after-wal-reset:1", true, true);
+    ([ "crash@wal-append:3" ], true);
+    ([ "crash@wal-append:7" ], true);
+    ([ "crash@before-wal-append:4" ], true);
+    ([ "crash@after-wal-append:3" ], true);
+    ([ "crash@wal-fsync:3" ], true);
+    ([ "crash@after-wal-fsync:2" ], true);
+    ([ "torn@wal-append:3=5" ], true);
+    ([ "torn@wal-append:5=1" ], true);
+    ([ "enospc@wal-fsync:3" ], false);
+    ([ "eio@wal-append:4" ], false);
+    (* The reopen path under a second crash: the next life reopens a log
+       with a torn tail and is killed again — after more records are
+       durable, before its first sync could cut the tail, or mid-append
+       (a second torn tail). *)
+    ([ "torn@wal-append:3=5"; "crash@after-wal-fsync:4" ], true);
+    ([ "torn@wal-append:4=9"; "crash@wal-truncate:1" ], true);
+    ([ "torn@wal-append:3=5"; "torn@wal-append:3=7" ], true);
   ]
 
-let crash_trial ~root ~tid ~spec ~expect_crash ~snap ~seed ~serve_flags ~jobs
+let crash_trial ~root ~tid ~plans ~expect_crash ~seed ~serve_flags ~jobs
     ~(batch : Sim.Driver.result) =
   incr trials;
   let dir = Filename.concat root (Printf.sprintf "t%d" tid) in
@@ -151,24 +162,13 @@ let crash_trial ~root ~tid ~spec ~expect_crash ~snap ~seed ~serve_flags ~jobs
     serve_flags
     @ [ "--listen"; "unix:" ^ sock; "--state"; Filename.concat dir "state" ]
   in
-  let ctx = Printf.sprintf "%s seed %d" spec seed in
-  let d =
-    {
-      pid = spawn_serve (args @ [ "--chaos"; spec ]);
-      args;
-      restarts = 0;
-      ctx;
-    }
-  in
+  let ctx = Printf.sprintf "%s seed %d" (String.concat " then " plans) seed in
+  let d = { pid = 0; args; plans; restarts = 0; ctx } in
+  d.pid <- spawn_life d;
   let ep = { addr = Service.Addr.Unix_sock sock; d; cl = None } in
   let njobs = Array.length jobs in
-  let snap_at = if snap then njobs / 2 else -1 in
   Array.iteri
     (fun i (j : Core.Job.t) ->
-      if i = snap_at then (
-        match call ep Service.Protocol.Snapshot 50 with
-        | Service.Protocol.Snapshot_ok _ -> ()
-        | _ -> fail "[%s] snapshot: unexpected response" ctx);
       match
         call ep
           (Service.Protocol.Submit
@@ -210,8 +210,8 @@ let crash_trial ~root ~tid ~spec ~expect_crash ~snap ~seed ~serve_flags ~jobs
   | Unix.WEXITED 0 -> ()
   | Unix.WEXITED c -> fail "[%s] drained daemon exited %d" ctx c
   | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> fail "[%s] drained daemon was signaled" ctx);
-  if expect_crash && d.restarts = 0 then
-    fail "[%s] chaos plan never fired (no crash observed)" ctx;
+  if expect_crash && d.restarts < List.length plans then
+    fail "[%s] a chaos plan never fired (%d crashes observed)" ctx d.restarts;
   if (not expect_crash) && d.restarts > 0 then
     fail "[%s] daemon died under a non-lethal plan" ctx
 
@@ -241,9 +241,9 @@ let crash_phase root =
         ]
       in
       List.iteri
-        (fun i (spec, expect_crash, snap) ->
-          crash_trial ~root ~tid:((1000 * si) + i) ~spec ~expect_crash ~snap
-            ~seed ~serve_flags ~jobs ~batch)
+        (fun i (plans, expect_crash) ->
+          crash_trial ~root ~tid:((1000 * si) + i) ~plans ~expect_crash ~seed
+            ~serve_flags ~jobs ~batch)
         crash_specs)
     [ 2013; 4027 ];
   Format.printf "chaos-smoke: crash campaign OK (%d windows x 2 seeds)@."
@@ -268,8 +268,9 @@ let golden_config () =
   | Ok c -> c
   | Error msg -> fatal "golden config: %s" msg
 
-(* A golden state dir: 24 records (one a legacy Mode switch), a snapshot
-   covering the first 10, and the full WAL — recovery merges the two. *)
+(* A golden legacy state dir: 24 records (one a legacy Mode switch), a
+   snapshot covering the first 10, and the full WAL — recovery merges the
+   two. *)
 let build_golden dir =
   Unix.mkdir dir 0o755;
   let config = golden_config () in
@@ -455,7 +456,9 @@ let sigkill_loadgen_phase root =
     ]
   in
   let pid = ref (spawn_serve args) in
-  let d = { pid = !pid; args; restarts = 0; ctx = "sigkill-loadgen" } in
+  let d =
+    { pid = !pid; args; plans = []; restarts = 0; ctx = "sigkill-loadgen" }
+  in
   let ep = { addr = Service.Addr.Unix_sock sock; d; cl = None } in
   ignore (client ep 300);
   drop ep;

@@ -963,10 +963,11 @@ let serve_cmd =
       & opt (some string) None
       & info [ "state" ] ~docv:"DIR"
           ~doc:
-            "State directory for the write-ahead log and snapshots; enables \
-             crash recovery.  Without it the daemon is ephemeral.  The log \
-             is compacted into a snapshot only at boot, at drain and on \
-             $(b,fairsched ctl snapshot).")
+            "State directory for the write-ahead log, the daemon's only \
+             durable state; enables crash recovery.  Without it the daemon \
+             is ephemeral.  A restart replays the log and appends to it; \
+             a $(b,snapshot.json) left by an older daemon is read, never \
+             rewritten.")
   in
   let algo_arg =
     Arg.(
@@ -1657,12 +1658,12 @@ let ctl_cmd =
   let which_arg =
     Arg.(
       required
-      & pos 0 (some (enum [ ("psi", `Psi); ("snapshot", `Snapshot);
-                            ("drain", `Drain); ("wal-check", `Wal_check);
+      & pos 0 (some (enum [ ("psi", `Psi); ("drain", `Drain);
+                            ("wal-check", `Wal_check);
                             ("metrics", `Metrics); ("trace", `Trace) ]))
           None
       & info [] ~docv:"CMD"
-          ~doc:"psi | snapshot | drain | wal-check | metrics | trace")
+          ~doc:"psi | drain | wal-check | metrics | trace")
   in
   let file_arg =
     Arg.(
@@ -1670,7 +1671,7 @@ let ctl_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"FILE"
           ~doc:
-            "For wal-check: a WAL file, a snapshot file, or a state \
+            "For wal-check: a WAL file, a legacy snapshot file, or a state \
              directory to inspect offline.  For metrics/trace: write the \
              scraped JSON there instead of stdout.")
   in
@@ -1792,7 +1793,7 @@ let ctl_cmd =
   let run addr which detail json limit file timeout_s =
     match which with
     | `Wal_check -> wal_check ~json file
-    | (`Psi | `Snapshot | `Drain | `Metrics | `Trace) as which ->
+    | (`Psi | `Drain | `Metrics | `Trace) as which ->
     let client = connect_or_die ~timeout_s addr in
     Fun.protect
       ~finally:(fun () -> Service.Client.close client)
@@ -1824,11 +1825,6 @@ let ctl_cmd =
                       parts.(u))
                   psi_scaled
             | _ -> die "unexpected response to psi")
-        | `Snapshot -> (
-            match request_or_die client Service.Protocol.Snapshot with
-            | Service.Protocol.Snapshot_ok { seq; path } ->
-                Format.printf "snapshot through seq %d at %s@." seq path
-            | _ -> die "unexpected response to snapshot")
         | `Drain -> (
             match
               request_or_die client (Service.Protocol.Drain { detail })
@@ -1856,7 +1852,7 @@ let ctl_cmd =
   Cmd.v
     (Cmd.info "ctl"
        ~doc:
-         "Control a running daemon (psi | snapshot | drain), scrape its \
+         "Control a running daemon (psi | drain), scrape its \
           live observability plane (metrics | trace), or inspect \
           durability state offline (wal-check FILE).")
     Term.(

@@ -224,9 +224,8 @@ let churn_phase dir =
     | Job j -> submit_job client j
     | Endow e -> send_endow client e
   in
-  (* First life: jobs and churn up to the rejoin, then kill -9 — no
-     snapshot, so recovery replays submissions AND endow records from the
-     WAL alone. *)
+  (* First life: jobs and churn up to the rejoin, then kill -9, so
+     recovery replays submissions AND endow records from the WAL. *)
   let pid = spawn_serve serve_args in
   let client = connect_retry addr in
   List.iter (feed_one client) before;

@@ -2,10 +2,11 @@
    `fairsched` binary (argv.(1)):
 
    1. crash recovery — start `fairsched serve` with a state dir, submit
-      half a golden instance over the socket, SIGKILL the daemon,
-      restart it on the same state dir, submit the rest, drain, and
-      check ψsp and kernel stats bit-identical to the batch
-      Sim.Driver.run of the full instance;
+      a third of a golden instance over the socket, SIGKILL the daemon,
+      restart it on the same state dir (which replays the WAL and
+      appends to it), submit the next third, SIGKILL it again, restart,
+      submit the rest, drain, and check ψsp and kernel stats
+      bit-identical to the batch Sim.Driver.run of the full instance;
    2. CLI clients — `fairsched submit`, `status`, and `ctl psi` against
       a live daemon must exit 0;
    3. throughput — Loadgen against an ephemeral daemon must sustain the
@@ -100,8 +101,8 @@ let crash_recovery_phase dir =
     expected_outcome ~service ~algorithm ~seed instance
   in
   let jobs = instance.Core.Instance.jobs in
-  let split = Array.length jobs / 2 in
-  if split < 3 then fatal "golden instance too small (%d jobs)" (Array.length jobs);
+  let third = Array.length jobs / 3 in
+  if third < 3 then fatal "golden instance too small (%d jobs)" (Array.length jobs);
   let sock = Filename.concat dir "smoke.sock" in
   let state = Filename.concat dir "state" in
   let addr = Service.Addr.Unix_sock sock in
@@ -113,25 +114,34 @@ let crash_recovery_phase dir =
       "--horizon"; string_of_int horizon; "--seed"; string_of_int seed;
     ]
   in
-  (* First life: half the stream, a forced snapshot, then kill -9. *)
-  let pid = spawn_serve serve_args in
-  let client = connect_retry addr in
-  Array.iteri (fun i j -> if i < split then submit_job client j) jobs;
-  (match request client Service.Protocol.Snapshot with
-  | Service.Protocol.Snapshot_ok _ -> ()
-  | _ -> fatal "snapshot: unexpected response");
-  kill9 pid;
-  Service.Client.close client;
-  (* Second life: recovery must surface every acked submission, and the
-     finished run must match the uninterrupted batch bit for bit. *)
-  let pid = spawn_serve serve_args in
-  let client = connect_retry addr in
-  (match request client Service.Protocol.Status with
-  | Service.Protocol.Status_ok st ->
-      if st.Service.Protocol.accepted <> split then
-        fail "recovered %d acked submissions, expected %d"
-          st.Service.Protocol.accepted split
-  | _ -> fatal "status: unexpected response");
+  (* Life k surfaces every acked submission of the lives before it, then
+     appends the next third of the stream (the rest, in the last life) to
+     the log it replayed. *)
+  let life k =
+    let pid = spawn_serve serve_args in
+    let client = connect_retry addr in
+    (match request client Service.Protocol.Status with
+    | Service.Protocol.Status_ok st ->
+        if st.Service.Protocol.accepted <> k * third then
+          fail "recovered %d acked submissions, expected %d"
+            st.Service.Protocol.accepted (k * third)
+    | _ -> fatal "status: unexpected response");
+    Array.iteri
+      (fun i j ->
+        if i >= k * third && (k = 2 || i < (k + 1) * third) then
+          submit_job client j)
+      jobs;
+    (pid, client)
+  in
+  (* The first two lives end in kill -9; the finished third must match
+     the uninterrupted batch bit for bit. *)
+  List.iter
+    (fun k ->
+      let pid, client = life k in
+      kill9 pid;
+      Service.Client.close client)
+    [ 0; 1 ];
+  let pid, client = life 2 in
   (* The CLI clients against the live daemon. *)
   (let code = run_cli [ "status"; "--to"; sock ] in
    if code <> 0 then fail "`fairsched status` exited %d" code);
@@ -141,7 +151,6 @@ let crash_recovery_phase dir =
      wal-<g>/ segment per group under sharding). *)
   (let code = run_cli [ "ctl"; "wal-check"; state ] in
    if code <> 0 then fail "`fairsched ctl wal-check` exited %d" code);
-  Array.iteri (fun i j -> if i >= split then submit_job client j) jobs;
   (match request client (Service.Protocol.Drain { detail = false }) with
   | Service.Protocol.Drain_ok r ->
       if r.Service.Protocol.d_psi_scaled <> expected_psi then
@@ -157,8 +166,9 @@ let crash_recovery_phase dir =
   | Unix.WEXITED c -> fail "drained daemon exited %d" c
   | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> fail "drained daemon was signaled");
   if !failures = 0 then
-    Format.printf "serve-smoke: crash recovery OK (%d jobs, split at %d)@."
-      (Array.length jobs) split
+    Format.printf
+      "serve-smoke: crash recovery OK (%d jobs, killed after %d and %d)@."
+      (Array.length jobs) third (2 * third)
 
 (* --- phase 2: submit via CLI against an ephemeral daemon ------------------ *)
 

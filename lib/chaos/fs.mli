@@ -1,13 +1,13 @@
 (** Deterministic fault injection for the service layer's filesystem I/O.
 
-    Every durability-critical syscall in {!Service.Wal} (and the snapshot
-    path in the server) goes through this module instead of calling [Unix]
+    Every durability-critical syscall in {!Service.Wal} goes through this
+    module instead of calling [Unix]
     directly.  With no plan armed the shims are plain passthroughs (one
     branch on an empty list); with a plan armed, individual calls can be
     made to fail with a chosen [Unix.error] (ENOSPC, EIO, ...), to write
     short, to tear mid-write and die, or to kill the process at a named
     {e crash-point} between syscalls — which makes every crash window of
-    the WAL/snapshot protocol reachable deterministically, in-process,
+    the WAL protocol reachable deterministically, in-process,
     without root, loop devices, or LD_PRELOAD.
 
     {b Sites} name instrumented operations (["wal-append"],

@@ -5,8 +5,8 @@
 
     - {b machine-parseable}: with the [Ndjson] format each record is one
       JSON object per line ([ts_ns], [level], [component], [msg], plus any
-      typed fields), so shard-worker death, snapshot failures, and
-      estimator switches can be grepped and joined instead of read off an
+      typed fields), so shard-worker death, segment recovery and resume
+      warnings can be grepped and joined instead of read off an
       interleaved stderr;
     - {b domain-safe}: emission takes one mutex around a single
       [output_string] + flush, so records from racing shard domains never

@@ -4,7 +4,8 @@
     A batch run is determined by its {!Core.Instance.t} plus the policy and
     seed; an online daemon does not know its jobs up front, so its identity
     is the remainder — cluster shape, horizon, algorithm, seed, restart
-    budget.  The config is written into the WAL header and every snapshot:
+    budget.  The config is written into the WAL header (and was into the
+    snapshots older daemons wrote):
     crash recovery replays the logged submissions into a daemon rebuilt
     from this record, and kernel determinism does the rest (DESIGN.md §12). *)
 

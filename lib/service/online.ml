@@ -2,6 +2,7 @@ type t = {
   config : Config.t;
   session : Sim.Session.t;
   next_index : int array;  (* per-org FIFO rank counter *)
+  max_size : int;  (* Core.Instance.max_horizon of the config's machines *)
   (* Admission-time ownership: the session's own copy only advances when
      the engine processes an instant, so same-instant endow sequences
      would validate against stale state.  This copy replays every event
@@ -17,6 +18,7 @@ type t = {
 type error =
   | Bad_org of { org : int; norgs : int }
   | Bad_size of int
+  | Size_out_of_range of { size : int; bound : int; machines : int }
   | Bad_release of { release : int; frontier : int }
   | Past_horizon of { release : int; horizon : int }
   | Bad_machine of { machine : int; machines : int }
@@ -30,6 +32,12 @@ let error_to_string = function
   | Bad_org { org; norgs } ->
       Printf.sprintf "organization %d out of range [0, %d)" org norgs
   | Bad_size s -> Printf.sprintf "job size must be positive, got %d" s
+  | Size_out_of_range { size; bound; machines } ->
+      Printf.sprintf
+        "job size %d is out of integer range for %d machines: the largest \
+         size is %d (Core.Instance.max_horizon), past which start + size \
+         and the utilities wrap"
+        size machines bound
   | Bad_release { release; frontier } ->
       Printf.sprintf
         "release %d before the admission frontier %d (submissions must \
@@ -75,6 +83,8 @@ let create config =
     config;
     session;
     next_index = Array.make (Config.organizations config) 0;
+    max_size =
+      Core.Instance.max_horizon ~machines:(Config.total_machines config);
     ownership =
       Federation.Event.Ownership.create ~homes:(machine_homes config)
         ~orgs:(Config.organizations config);
@@ -90,6 +100,10 @@ let check_submit t ~org ~size ~release =
   if t.drained then Error Drained
   else if org < 0 || org >= norgs then Error (Bad_org { org; norgs })
   else if size <= 0 then Error (Bad_size size)
+  else if size > t.max_size then
+    Error
+      (Size_out_of_range
+         { size; bound = t.max_size; machines = Config.total_machines t.config })
   else if release < 0 || release < t.frontier then
     Error (Bad_release { release; frontier = t.frontier })
   else if release >= t.config.Config.horizon then

@@ -5,8 +5,9 @@
     server feeds it job submissions and fault events as they arrive over
     the socket.  Admission enforces what a batch {!Core.Instance.make}
     would have enforced structurally — organization in range, positive
-    size, releases non-decreasing — plus the online-only constraint that
-    time never runs backwards past what the engine has already committed.
+    size, releases non-decreasing — plus the online-only constraints that
+    time never runs backwards past what the engine has already committed
+    and that a size stays within {!Core.Instance.max_horizon}.
 
     Bit-identity contract: feeding the jobs of a batch instance in release
     order (with {!submit} assigning the FIFO ranks) and then {!drain}ing
@@ -19,6 +20,9 @@ type t
 type error =
   | Bad_org of { org : int; norgs : int }
   | Bad_size of int
+  | Size_out_of_range of { size : int; bound : int; machines : int }
+      (** [size > Core.Instance.max_horizon ~machines]: start + size
+          would leave the integer range *)
   | Bad_release of { release : int; frontier : int }
       (** releases must be non-decreasing across submissions *)
   | Past_horizon of { release : int; horizon : int }

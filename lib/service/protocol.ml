@@ -27,7 +27,6 @@ type request =
     }
   | Status
   | Psi
-  | Snapshot
   | Drain of { detail : bool }
   | Metrics
   | Trace of { limit : int }
@@ -78,7 +77,6 @@ type response =
   | Endow_ok of { seq : int; now : int }
   | Status_ok of status
   | Psi_ok of { now : int; psi_scaled : int array; parts : int array }
-  | Snapshot_ok of { seq : int; path : string }
   | Drain_ok of drain_report
   | Metrics_ok of { metrics : Obs.Json.t }
   | Trace_ok of { events : int; dropped : int; trace : Obs.Json.t }
@@ -261,14 +259,14 @@ let feed_stamp = function
   | Fault { cid; cseq; trace; _ }
   | Endow { cid; cseq; trace; _ } ->
       Some (cid, cseq, trace)
-  | Status | Psi | Snapshot | Drain _ | Metrics | Trace _ -> None
+  | Status | Psi | Drain _ | Metrics | Trace _ -> None
 
 let with_feed_stamp req ~cid ~cseq ~trace =
   match req with
   | Submit s -> Submit { s with cid; cseq; trace }
   | Fault f -> Fault { f with cid; cseq; trace }
   | Endow e -> Endow { e with cid; cseq; trace }
-  | Status | Psi | Snapshot | Drain _ | Metrics | Trace _ -> req
+  | Status | Psi | Drain _ | Metrics | Trace _ -> req
 
 let request_to_json = function
   | Submit { org; user; release; size; cid; cseq; trace } ->
@@ -293,7 +291,6 @@ let request_to_json = function
         @ client_fields cid cseq @ trace_field trace)
   | Status -> Obj [ ("op", String "status") ]
   | Psi -> Obj [ ("op", String "psi") ]
-  | Snapshot -> Obj [ ("op", String "snapshot") ]
   | Drain { detail } ->
       Obj [ ("op", String "drain"); ("detail", Bool detail) ]
   | Metrics -> Obj [ ("op", String "metrics") ]
@@ -325,7 +322,6 @@ let request_of_json j =
       Ok (Endow { time; event; cid; cseq; trace })
   | "status" -> Ok Status
   | "psi" -> Ok Psi
-  | "snapshot" -> Ok Snapshot
   | "drain" ->
       let* detail = bool_field j "detail" ~default:false in
       Ok (Drain { detail })
@@ -536,14 +532,6 @@ let response_to_json = function
           ("psi_scaled", int_array_json psi_scaled);
           ("parts", int_array_json parts);
         ]
-  | Snapshot_ok { seq; path } ->
-      Obj
-        [
-          ("ok", Bool true);
-          ("op", String "snapshot");
-          ("seq", Int seq);
-          ("path", String path);
-        ]
   | Drain_ok r -> drain_json r
   | Metrics_ok { metrics } ->
       Obj [ ("ok", Bool true); ("op", String "metrics"); ("metrics", metrics) ]
@@ -609,10 +597,6 @@ let response_of_json j =
         let* psi_scaled = int_array_field j "psi_scaled" in
         let* parts = int_array_field j "parts" in
         Ok (Psi_ok { now; psi_scaled; parts })
-    | "snapshot" ->
-        let* seq = int_field j "seq" in
-        let* path = string_field j "path" in
-        Ok (Snapshot_ok { seq; path })
     | "drain" -> drain_of_json j
     | "metrics" -> (
         match member j "metrics" with
@@ -635,7 +619,22 @@ let of_line of_json line =
   | Result.Error e -> Result.Error (error_to_string e)
   | Ok j -> of_json j
 
+(* Older daemons served [snapshot], which compacted the log into a
+   snapshot file.  The WAL is now the only durable state, so a client
+   still sending it gets a bad request that says why. *)
+let decode_request line =
+  match parse ~limits:wire_limits line with
+  | Result.Error e -> Result.Error (Parse, error_to_string e)
+  | Ok j -> (
+      match member j "op" with
+      | Some (String "snapshot") ->
+          Result.Error
+            ( Bad_request,
+              "op \"snapshot\" was removed: the WAL is the daemon's only \
+               durable state, so there is no snapshot to force" )
+      | _ -> Result.map_error (fun msg -> (Parse, msg)) (request_of_json j))
+
 let request_to_line r = to_line (request_to_json r)
-let request_of_line s = of_line request_of_json s
+let request_of_line s = Result.map_error snd (decode_request s)
 let response_to_line r = to_line (response_to_json r)
 let response_of_line s = of_line response_of_json s

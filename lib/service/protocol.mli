@@ -54,7 +54,6 @@ type request =
           ["machines"] (omitted when empty — a readmit-all join) *)
   | Status
   | Psi
-  | Snapshot  (** force a snapshot + WAL compaction now *)
   | Drain of { detail : bool }
       (** run to horizon and shut down; [detail] adds the full schedule *)
   | Metrics
@@ -120,7 +119,6 @@ type response =
   | Endow_ok of { seq : int; now : int }
   | Status_ok of status
   | Psi_ok of { now : int; psi_scaled : int array; parts : int array }
-  | Snapshot_ok of { seq : int; path : string }
   | Drain_ok of drain_report
   | Metrics_ok of { metrics : Obs.Json.t }
       (** the merged registry dump ({!Obs.Metrics.to_json} shape: counter
@@ -177,6 +175,11 @@ val request_to_line : request -> string
 val request_of_line : string -> (request, string) result
 (** Parse one line (without requiring the trailing newline) under
     {!wire_limits}. *)
+
+val decode_request : string -> (request, error_code * string) result
+(** {!request_of_line} with the code the daemon answers a refused line
+    with: [Bad_request] for [{"op":"snapshot"}] (older daemons served it;
+    the WAL is now the only durable state), [Parse] otherwise. *)
 
 (** {2 Responses} *)
 

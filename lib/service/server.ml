@@ -41,7 +41,7 @@ type conn = {
 type gather = {
   g_conn : conn option;  (* None: SIGTERM-driven drain, nobody to answer *)
   g_slot : int;
-  g_kind : [ `Status | `Psi | `Snapshot | `Drain ];
+  g_kind : [ `Status | `Psi | `Drain ];
   g_parts : Shard.part option array;
   mutable g_waiting : int;
 }
@@ -50,7 +50,7 @@ type tok = Feed_tok of conn * int | Gather_tok of gather
 
 type state = {
   cfg : config;
-  base : Config.t;  (* the durable identity: what WAL headers and snapshots carry *)
+  base : Config.t;  (* the durable identity: what WAL headers carry *)
   part : Partition.t;
   sh : tok Shard.t array;  (* by group *)
   lanes : tok Shard.worker array;  (* one per shard worker domain *)
@@ -59,6 +59,7 @@ type state = {
   comp : tok Shard.completion Shard.Mailbox.t;
   cap_g : int;  (* per-group admission bound *)
   mutable conns : conn list;
+  rchunk : Bytes.t;  (* the one read buffer: the router is single-threaded *)
   mutable reserve : Unix.file_descr option;  (* spare fd for EMFILE refusals *)
   mutable router_rejected : int;  (* parse/range/shed rejects *)
   mutable shed : int;
@@ -149,32 +150,6 @@ let merge_psi s (parts : Shard.psi_part array) =
       parts = Partition.scatter_int s.part (fun g -> parts.(g).Shard.ps_parts);
     }
 
-let merge_snapshot s (parts : (int * string, string) result array) =
-  let err =
-    Array.fold_left
-      (fun acc r ->
-        match (acc, r) with
-        | (Some _ as e), _ -> e
-        | None, Error e -> Some e
-        | None, Ok _ -> None)
-      None parts
-  in
-  match err with
-  | Some msg ->
-      Protocol.Error { code = Protocol.Wal_error; msg; retry_after_ms = None }
-  | None ->
-      let seq =
-        Array.fold_left
-          (fun a r -> match r with Ok (sq, _) -> max a sq | Error _ -> a)
-          0 parts
-      in
-      let path =
-        if Partition.groups s.part = 1 then
-          match parts.(0) with Ok (_, p) -> p | Error _ -> assert false
-        else Option.value ~default:"" s.cfg.state_dir
-      in
-      Protocol.Snapshot_ok { seq; path }
-
 let merge_drain s (parts : Shard.drain_part array) =
   let open Shard in
   let detail = Array.exists (fun p -> p.dr_schedule <> None) parts in
@@ -210,9 +185,6 @@ let finish_gather s g =
              (all (function Shard.P_status p -> p | _ -> assert false)))
     | `Psi ->
         merge_psi s (all (function Shard.P_psi p -> p | _ -> assert false))
-    | `Snapshot ->
-        merge_snapshot s
-          (all (function Shard.P_snapshot r -> r | _ -> assert false))
     | `Drain ->
         merge_drain s (all (function Shard.P_drain p -> p | _ -> assert false))
   in
@@ -299,8 +271,8 @@ let route_feed s conn slot req ~now =
               Error
                 "endowment event spans multiple org-groups (members of a \
                  lending consortium must share one group)")
-    | Protocol.Status | Protocol.Psi | Protocol.Snapshot | Protocol.Drain _
-    | Protocol.Metrics | Protocol.Trace _ ->
+    | Protocol.Status | Protocol.Psi | Protocol.Drain _ | Protocol.Metrics
+    | Protocol.Trace _ ->
         assert false
   in
   match target with
@@ -353,23 +325,13 @@ let route_request s conn req ~now =
   | Protocol.Status ->
       start_gather s ~conn:(Some conn) ~slot `Status Shard.Q_status
   | Protocol.Psi -> start_gather s ~conn:(Some conn) ~slot `Psi Shard.Q_psi
-  | Protocol.Snapshot ->
-      if s.cfg.state_dir = None then
-        deliver conn slot
-          (Protocol.Error
-             {
-               code = Protocol.Unsupported;
-               msg = "no state directory (daemon is ephemeral)";
-               retry_after_ms = None;
-             })
-      else start_gather s ~conn:(Some conn) ~slot `Snapshot Shard.Q_snapshot
   | Protocol.Drain { detail } ->
       s.draining <- true;
       start_gather s ~conn:(Some conn) ~slot `Drain
         (Shard.Q_drain { detail })
   (* Live scrapes answered on the router thread: the metrics registry
      and trace rings are process-global, so no shard round-trip is
-     needed — the snapshot merges every domain's cells as-is. *)
+     needed — the metrics snapshot merges every domain's cells as-is. *)
   | Protocol.Metrics ->
       deliver conn slot (Protocol.Metrics_ok { metrics = Obs.Metrics.to_json () })
   | Protocol.Trace { limit } ->
@@ -384,12 +346,11 @@ let route_request s conn req ~now =
 
 let enqueue_line s conn line =
   let now = Unix.gettimeofday () in
-  match Protocol.request_of_line line with
-  | Error msg ->
+  match Protocol.decode_request line with
+  | Error (code, msg) ->
       let slot = take_slot conn in
       s.router_rejected <- s.router_rejected + 1;
-      deliver conn slot
-        (Protocol.Error { code = Protocol.Parse; msg; retry_after_ms = None })
+      deliver conn slot (Protocol.Error { code; msg; retry_after_ms = None })
   | Ok req -> route_request s conn req ~now
 
 let handle_completions s =
@@ -448,11 +409,10 @@ let split_lines s conn =
   end
 
 let read_conn s conn =
-  let chunk = Bytes.create 65536 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+  match Unix.read conn.fd s.rchunk 0 (Bytes.length s.rchunk) with
   | 0 -> conn.eof <- true
   | n ->
-      Buffer.add_subbytes conn.rbuf chunk 0 n;
+      Buffer.add_subbytes conn.rbuf s.rchunk 0 n;
       split_lines s conn
   | exception
       Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -645,8 +605,8 @@ let ensure_dir dir =
         raise (Unix.Unix_error (Unix.ENOTDIR, "state dir", dir)))
 
 (* Resolve the durable identity and the on-disk layout.  A state dir is
-   either flat (the pre-sharding layout: wal.ndjson + snapshot.json at
-   top level, still written when groups = 1) or segmented (wal-0/ ..
+   either flat (the pre-sharding layout: wal.ndjson at top level, still
+   used when groups = 1) or segmented (wal-0/ ..
    wal-<G-1>/, one per org-group).  When the dir holds a previous life,
    the recovered config wins over the command line — the durable
    identity must match the log being replayed. *)
@@ -782,6 +742,7 @@ let run ?(ready = fun () -> ()) cfg =
       comp;
       cap_g;
       conns = [];
+      rchunk = Bytes.create 65536;
       reserve = take_reserve ();
       router_rejected = 0;
       shed = 0;

@@ -17,17 +17,18 @@
     bytes, splits complete lines, and routes each feed to its org's
     group (bounded per-group admission — overflow is answered with a
     [backpressure] error, not dropped).  Control requests ([status],
-    [psi], [snapshot], [drain]) are broadcast to every group and their
+    [psi], [drain]) are broadcast to every group and their
     parts merged: clocks by max, counters by sum, per-org arrays
     scattered back into global indexing.  Responses per connection are
     emitted in request order (a reorder buffer absorbs cross-shard
-    completion races).
+    completion races).  A line that does not decode is answered with
+    {!Protocol.decode_request}'s typed error.
 
     Durability is per group: accepted feeds are appended to the group's
     WAL segment and their acks {e held} until the end of the pump, when
     one [fsync] covers every append the pump made.  No ack reaches a
     client before its record is durable: an acked submission survives
-    [kill -9].
+    [kill -9].  The WAL is the only durable state.
 
     Robustness (DESIGN.md §14) is per group: (cid, cseq) dedupe rebuilt
     from the WAL on recovery; overload detection driving shedding with
@@ -46,11 +47,11 @@
     [select] cannot watch) is refused the same way.
 
     Shutdown: a [drain] request or SIGTERM runs every group's engine to
-    the horizon, writes final snapshots, answers pending clients,
+    the horizon, answers pending clients after the commit that follows,
     flushes, and returns.  SIGKILL at any point is recoverable: restart
-    with the same state dir and every segment replays snapshot + WAL
-    into a fresh engine, resuming bit-identically (kernel determinism;
-    see DESIGN.md §12 and §15). *)
+    with the same state dir and every segment replays its WAL (after any
+    legacy snapshot) into a fresh engine, resuming bit-identically
+    (kernel determinism; see DESIGN.md §12 and §15), then appends to it. *)
 
 type config = {
   addr : Addr.t;
@@ -59,9 +60,8 @@ type config = {
           durable part of sharding (it shapes the WAL layout).  [shards]
           below is pure execution and can change between runs. *)
   state_dir : string option;
-      (** [None] = ephemeral (no durability).  Each group's WAL is
-          compacted into its snapshot only at boot (after recovery), at
-          drain and on a [snapshot] request — never on the ack path. *)
+      (** [None] = ephemeral (no durability).  Each group's WAL segment
+          is only ever appended to; nothing compacts it. *)
   queue_cap : int;
       (** bound on queued submissions + faults, divided evenly across
           org-groups (each group's bound is [queue_cap / groups]) *)

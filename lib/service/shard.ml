@@ -89,7 +89,7 @@ end
 
 (* --- Messages ------------------------------------------------------------ *)
 
-type query = Q_status | Q_psi | Q_snapshot | Q_drain of { detail : bool }
+type query = Q_status | Q_psi | Q_drain of { detail : bool }
 
 type 'tok msg =
   | Feed of { tok : 'tok; req : Protocol.request; t_enq : float }
@@ -124,7 +124,6 @@ type drain_part = {
 type part =
   | P_status of status_part
   | P_psi of psi_part
-  | P_snapshot of (int * string, string) result
   | P_drain of drain_part
 
 type 'tok completion =
@@ -136,14 +135,10 @@ type 'tok completion =
 type 'tok t = {
   group : int;
   part : Partition.t;
-  base : Config.t;  (* the global durable identity (WAL headers) *)
   sub : Config.t;  (* this group's induced config (drives the engine) *)
-  state_dir : string option;  (* this segment's directory *)
-  site_prefix : string;
   online : Online.t;
-  mutable writer : Wal.writer option;
+  writer : Wal.writer option;
   mutable seq : int;
-  mutable records_rev : Wal.record list;
   mutable accepted : int;
   mutable rejected : int;
   mutable draining : bool;
@@ -305,9 +300,9 @@ let create ~partition ~group ~state_dir ~overload () =
     if Partition.groups partition = 1 then ""
     else Wal.segment_site_prefix ~group
   in
-  let* records, last_seq =
+  let* records, last_seq, wal_end =
     match state_dir with
-    | None -> Ok ([], 0)
+    | None -> Ok ([], 0, 0)
     | Some dir ->
         let* r = Result.map_error Wal.boot_error_to_string (Wal.recover ~dir) in
         let* () =
@@ -320,7 +315,7 @@ let create ~partition ~group ~state_dir ~overload () =
                    group)
           | Some _ | None -> Ok ()
         in
-        Ok (r.Wal.r_records, r.Wal.r_last_seq)
+        Ok (r.Wal.r_records, r.Wal.r_last_seq, r.Wal.r_wal_end)
   in
   let* () = check_modes ~group ~algorithm:sub.Config.algorithm records in
   let online = Online.create sub in
@@ -335,22 +330,14 @@ let create ~partition ~group ~state_dir ~overload () =
         ("estimator", Obs.Json.String sub.Config.algorithm);
       ]
     "segment recovered";
-  (* Compact on boot: one snapshot covering everything recovered, then a
-     fresh WAL.  A crash right here is safe — the snapshot is atomic and
-     the old WAL only duplicates records the sequence filter drops. *)
+  (* Append to the recovered log where recovery stopped reading; the
+     first commit cuts any torn tail beyond that point. *)
   let* writer =
     match state_dir with
     | None -> Ok None
     | Some dir ->
-        let* () =
-          if records = [] then Ok ()
-          else
-            Result.map
-              (fun (_ : string) -> ())
-              (Wal.write_snapshot ~site_prefix ~dir
-                 { Wal.config = base; last_seq; records })
-        in
-        Result.map Option.some (Wal.create ~site_prefix ~dir ~config:base ())
+        Result.map Option.some
+          (Wal.reopen ~site_prefix ~dir ~config:base ~at:wal_end ())
   in
   let org_lo, org_hi = Partition.org_range partition group in
   let slo_psi =
@@ -379,14 +366,10 @@ let create ~partition ~group ~state_dir ~overload () =
     {
       group;
       part = partition;
-      base;
       sub;
-      state_dir;
-      site_prefix;
       online;
       writer;
       seq = last_seq;
-      records_rev = List.rev records;
       accepted = List.length (List.filter Wal.is_feed records);
       rejected = 0;
       draining = false;
@@ -410,31 +393,7 @@ let create ~partition ~group ~state_dir ~overload () =
 
 let close t =
   Mutex.protect fed_active_lock (fun () -> Hashtbl.remove fed_active t.group);
-  Option.iter Wal.close t.writer;
-  t.writer <- None
-
-(* --- Snapshot / compaction ----------------------------------------------- *)
-
-let do_snapshot t =
-  match t.state_dir with
-  | None -> Error "no state directory (daemon is ephemeral)"
-  | Some dir -> (
-      let snapshot =
-        { Wal.config = t.base; last_seq = t.seq; records = List.rev t.records_rev }
-      in
-      match Wal.write_snapshot ~site_prefix:t.site_prefix ~dir snapshot with
-      | Error _ as e -> e
-      | Ok path -> (
-          (* Compact: every record is covered by the snapshot now. *)
-          Option.iter Wal.close t.writer;
-          t.writer <- None;
-          Chaos.Fs.point (t.site_prefix ^ "before-wal-reset");
-          match Wal.create ~site_prefix:t.site_prefix ~dir ~config:t.base () with
-          | Error _ as e -> e
-          | Ok w ->
-              t.writer <- Some w;
-              Chaos.Fs.point (t.site_prefix ^ "after-wal-reset");
-              Ok path))
+  Option.iter Wal.close t.writer
 
 (* --- Commit ---------------------------------------------------------------
    Acks of accepted feeds are held until the end of the pump, when one
@@ -520,12 +479,10 @@ let dedupe_hit t ~cid ~cseq =
     | Some (last, _) when cseq < last && cseq > 0 -> Some (`Stale last)
     | Some _ | None -> None
 
-(* Log an accepted record: WAL buffer, in-memory history (kept for
-   snapshots), sequence. *)
+(* Log an accepted record: WAL buffer, sequence. *)
 let log t record =
   t.seq <- Wal.seq_of record;
-  Option.iter (fun w -> Wal.append w record) t.writer;
-  t.records_rev <- record :: t.records_rev
+  Option.iter (fun w -> Wal.append w record) t.writer
 
 (* dedupe -> drain gate -> check -> log -> apply -> hold.  Errors are
    answered at once: no record, nothing to wait for. *)
@@ -632,25 +589,10 @@ let query t ~post ~now tok q =
              ps_psi = Online.psi_scaled t.online;
              ps_parts = Online.parts t.online;
            })
-  | Q_snapshot ->
-      (* the snapshot persists any still-buffered records, so the held
-         acks it covers are released right after *)
-      let r =
-        Result.map (fun path -> (t.seq, path)) (do_snapshot t)
-      in
-      List.iter post (commit t ~now);
-      part (P_snapshot r)
   | Q_drain { detail } ->
       if not t.draining then begin
         t.draining <- true;
         Online.drain t.online;
-        (if t.state_dir <> None then
-           match do_snapshot t with
-           | Ok _ -> ()
-           | Error msg ->
-               Obs.Log.error ~component:"shard"
-                 ~fields:[ ("group", Obs.Json.Int t.group) ]
-                 "final snapshot failed: %s" msg);
         List.iter post (commit t ~now)
       end;
       part (P_drain (drain_part t ~detail))
@@ -704,7 +646,7 @@ let publish_slo t ~now =
         drift := Float.max !drift (float_of_int (abs (s - p)) /. 2.))
       psi;
     Obs.Metrics.set t.slo_drift !drift;
-    if t.base.Config.federated then begin
+    if t.sub.Config.federated then begin
       let ownership = Online.ownership t.online in
       let lent = ref 0 in
       for u = 0 to Federation.Event.Ownership.orgs ownership - 1 do

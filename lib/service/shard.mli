@@ -19,9 +19,12 @@
     {b Commit.}  Acks of accepted feeds are {e held} until the end of
     the pump, when one [fsync] covers every append the pump made:
     whatever arrived during the previous fsync is batched into the next
-    one.  No ack leaves the shard before the fsync (or snapshot)
-    covering its record succeeds, so every acked submission survives
-    [kill -9].
+    one.  No ack leaves the shard before the fsync covering its record
+    succeeds, so every acked submission survives [kill -9].
+
+    {b The WAL is the only durable state.}  Started jobs never move, so
+    the engine is a deterministic function of the logged inputs: a shard
+    keeps no history in memory and writes no snapshot.
 
     {b One feed path.}  A feed becomes its WAL record, is checked, logged
     and then applied to the engine by one function that also builds the
@@ -55,11 +58,7 @@ end
 
 (** {2 Messages — router to shard} *)
 
-type query =
-  | Q_status
-  | Q_psi
-  | Q_snapshot
-  | Q_drain of { detail : bool }
+type query = Q_status | Q_psi | Q_drain of { detail : bool }
 
 type 'tok msg =
   | Feed of { tok : 'tok; req : Protocol.request; t_enq : float }
@@ -99,8 +98,6 @@ type drain_part = {
 type part =
   | P_status of status_part
   | P_psi of psi_part
-  | P_snapshot of (int * string, string) result
-      (** [(last_seq, path)] on success *)
   | P_drain of drain_part
 
 type 'tok completion =
@@ -121,8 +118,9 @@ val create :
 (** Recover the group's segment ([state_dir] is {e this segment's}
     directory — the flat state dir when unsharded, [wal-<g>/] otherwise),
     verify its stored config equals the partition's, replay into a fresh
-    engine under the configured algorithm, rebuild the dedupe cache,
-    compact on boot, and open a fresh site-prefixed WAL.
+    engine under the configured algorithm, rebuild the dedupe cache, and
+    reopen the segment's WAL for append ({!Wal.reopen}).  A legacy
+    [snapshot.json] is read and left untouched.
 
     A segment written by an older daemon may hold legacy {!Wal.Mode}
     records.  If the last one names the configured algorithm, they are

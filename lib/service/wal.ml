@@ -34,8 +34,8 @@ let record_of_request ~seq = function
       Some (Fault { seq; time; event; cid; cseq })
   | Protocol.Endow { time; event; cid; cseq; trace = _ } ->
       Some (Endow { seq; time; event; cid; cseq })
-  | Protocol.Status | Protocol.Psi | Protocol.Snapshot | Protocol.Drain _
-  | Protocol.Metrics | Protocol.Trace _ ->
+  | Protocol.Status | Protocol.Psi | Protocol.Drain _ | Protocol.Metrics
+  | Protocol.Trace _ ->
       None
 
 open Obs.Json
@@ -117,11 +117,11 @@ let snapshot_path ~dir = Filename.concat dir "snapshot.json"
 
 (* --- Segment layout (sharded state dirs) --------------------------------- *)
 
-(* A single-group daemon keeps the flat pre-sharding layout (wal.ndjson +
-   snapshot.json directly under the state dir); a multi-group daemon gives
-   each org-group its own segment subdirectory wal-<g>/ with the same two
-   files inside.  The layout itself says which world we are in — recovery
-   must know before it can read any config. *)
+(* A single-group daemon keeps the flat pre-sharding layout (wal.ndjson,
+   and any legacy snapshot.json, directly under the state dir); a
+   multi-group daemon gives each org-group a segment subdirectory wal-<g>/
+   laid out the same way.  The layout itself says which world we are in —
+   recovery must know before it can read any config. *)
 
 let segment_dir ~dir ~group = Filename.concat dir (Printf.sprintf "wal-%d" group)
 
@@ -226,6 +226,9 @@ let protect_sys f =
            (Unix.error_message e))
   | exception Sys_error msg -> Error msg
 
+let writer ~prefix fd ~durable_len ~file_len =
+  { fd; buf = Buffer.create 4096; durable_len; file_len; prefix }
+
 let create ?(site_prefix = "") ~dir ~config () =
   protect_sys (fun () ->
       let path = wal_path ~dir in
@@ -238,13 +241,7 @@ let create ?(site_prefix = "") ~dir ~config () =
       write_fully ~site:(site_prefix ^ "wal-header") fd header;
       Chaos.Fs.fsync ~site:(site_prefix ^ "wal-fsync") fd;
       let len = String.length header in
-      {
-        fd;
-        buf = Buffer.create 4096;
-        durable_len = len;
-        file_len = len;
-        prefix = site_prefix;
-      })
+      writer ~prefix:site_prefix fd ~durable_len:len ~file_len:len)
 
 let append w record =
   to_buffer w.buf (record_to_json record);
@@ -270,6 +267,23 @@ let sync w =
         Buffer.clear w.buf;
         Chaos.Fs.point (w.prefix ^ "after-wal-fsync")
       end)
+
+(* Boot reopens the log where recovery stopped reading: [at] is the end
+   of its last intact line.  Anything past it is a torn tail; starting
+   [durable_len] at [at] makes the first {!sync} cut it through the same
+   repair a failed append gets. *)
+let reopen ?(site_prefix = "") ~dir ~config ~at () =
+  if at = 0 then create ~site_prefix ~dir ~config ()
+  else
+    protect_sys (fun () ->
+        let fd =
+          Chaos.Fs.openfile ~site:(site_prefix ^ "wal-open") (wal_path ~dir)
+            [ Unix.O_WRONLY ] 0o644
+        in
+        let len = Unix.LargeFile.((fstat fd).st_size) in
+        ignore (Unix.LargeFile.lseek fd (Int64.of_int at) Unix.SEEK_SET);
+        writer ~prefix:site_prefix fd ~durable_len:at
+          ~file_len:(Int64.to_int len))
 
 let close w =
   (match sync w with Ok () | Error _ -> ());
@@ -341,6 +355,7 @@ type recovery = {
   r_config : Config.t option;
   r_records : record list;
   r_last_seq : int;
+  r_wal_end : int;
 }
 
 (* One physical line: text without the newline, the byte offset of its
@@ -380,11 +395,12 @@ let corrupt file (line : raw_line) lineno reason =
             c_reason = reason }
 
 (* Parse the record lines of a WAL body.  The final line may be torn
-   (crash mid-append): if it fails to parse it is dropped and reported.
-   Any earlier failure, or a sequence number that does not strictly
-   increase, refuses with a typed corruption naming the line.  Sequence
-   monotonicity is what turns a duplicated or reordered line — which is
-   individually well-formed JSON — into a detectable error. *)
+   (crash mid-append): if it fails to parse, or lacks its newline (never
+   acked then: an ack waits for the whole write's fsync), it is dropped
+   and reported.  Any earlier failure, or a sequence number that does not
+   strictly increase, refuses with a typed corruption naming the line.
+   Sequence monotonicity is what turns a duplicated or reordered line —
+   which is individually well-formed JSON — into a detectable error. *)
 let parse_records ~file ~first_lineno lines =
   let n = List.length lines in
   let rec go i last_seq acc = function
@@ -392,8 +408,10 @@ let parse_records ~file ~first_lineno lines =
     | (line : raw_line) :: rest -> (
         let lineno = first_lineno + i in
         let parsed =
-          let* j = of_string line.l_text in
-          record_of_json j
+          if not line.l_terminated then Error "line not newline-terminated"
+          else
+            let* j = of_string line.l_text in
+            record_of_json j
         in
         match parsed with
         | Ok r ->
@@ -416,6 +434,9 @@ let parse_records ~file ~first_lineno lines =
   in
   go 0 min_int [] lines
 
+(* Config, records, torn tail, and the byte offset just past the last
+   intact line, where the next append goes — 0 when even the header line
+   is unterminated, so nothing can follow it and the log is recreated. *)
 let read_wal path =
   let* text = Result.map_error (fun m -> Io m) (read_file path) in
   match split_lines text with
@@ -438,7 +459,13 @@ let read_wal path =
             Error (corrupt path header 1 (Printf.sprintf "bad WAL header: %s" e))
       in
       let* records, torn = parse_records ~file:path ~first_lineno:2 body in
-      Ok (config, records, torn)
+      let wal_end =
+        match torn with
+        | _ when not header.l_terminated -> 0
+        | Some (_, offset, _) -> offset
+        | None -> String.length text
+      in
+      Ok (config, records, torn, wal_end)
 
 let read_snapshot path =
   let* text = Result.map_error (fun m -> Io m) (read_file path) in
@@ -500,8 +527,8 @@ let recover ~dir =
     match (snap, wal) with
     | None, None -> Ok None
     | Some s, None -> Ok (Some s.config)
-    | None, Some (c, _, _) -> Ok (Some c)
-    | Some s, Some (c, _, _) ->
+    | None, Some (c, _, _, _) -> Ok (Some c)
+    | Some s, Some (c, _, _, _) ->
         if Config.equal s.config c then Ok (Some s.config)
         else
           Error
@@ -516,16 +543,22 @@ let recover ~dir =
   let wal_records =
     match wal with
     | None -> []
-    | Some (_, records, _) ->
-        (* Records at or below the snapshot's last_seq were compacted
-           into it; a crash before WAL truncation leaves them behind. *)
+    | Some (_, records, _, _) ->
+        (* Records at or below a legacy snapshot's last_seq were compacted
+           into it; a crash before WAL truncation left them behind. *)
         List.filter (fun r -> seq_of r > last_snap_seq) records
   in
   let records = snap_records @ wal_records in
   let last_seq =
     List.fold_left (fun acc r -> Stdlib.max acc (seq_of r)) last_snap_seq records
   in
-  Ok { r_config = config; r_records = records; r_last_seq = last_seq }
+  Ok
+    {
+      r_config = config;
+      r_records = records;
+      r_last_seq = last_seq;
+      r_wal_end = (match wal with Some (_, _, _, e) -> e | None -> 0);
+    }
 
 (* --- Offline inspection --------------------------------------------------- *)
 
@@ -580,7 +613,7 @@ let check path =
     let torn =
       let wal_file = wal_path ~dir:path in
       if Sys.file_exists wal_file then
-        match read_wal wal_file with Ok (_, _, t) -> t | Error _ -> None
+        match read_wal wal_file with Ok (_, _, t, _) -> t | Error _ -> None
       else None
     in
     Ok
@@ -601,7 +634,7 @@ let check path =
       nn > 0 && at 0
     in
     if contains first_line wal_magic then
-      let* config, records, torn = read_wal path in
+      let* config, records, torn, _ = read_wal path in
       Ok (report_of_records ~kind:`Wal ~config:(Some config) ~torn records)
     else if contains first_line "fairsched_snapshot" then
       let* s = read_snapshot path in

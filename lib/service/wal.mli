@@ -1,36 +1,33 @@
-(** Durability: a write-ahead log of accepted inputs plus snapshots that
-    compact it.  The daemon writes a snapshot only at boot (after
-    recovery), at drain and on the [snapshot] request: a snapshot holds
-    every record the log holds, so writing one periodically would only
-    rewrite the whole history again and again on the ack path.
+(** Durability: a write-ahead log of accepted inputs — the daemon's only
+    durable state.
 
     The daemon never serializes engine or policy state — REF's
     sub-coalition simulations alone would make that intractable.  Instead
     it logs the {e inputs} (accepted submissions and fault events, each
     stamped with a monotone sequence number) and relies on kernel
     determinism: replaying the same inputs into a fresh {!Online.t} built
-    from the same {!Config.t} reproduces the same state bit-for-bit.  A
-    snapshot is therefore just a compaction of the log — config, the last
-    sequence number it covers, and the accepted records — not a memory
-    image.
+    from the same {!Config.t} reproduces the same state bit-for-bit.
 
     Layout under the state directory:
     - [wal.ndjson] — header line [{"fairsched_wal":1,"config":{...}}]
-      followed by one record per line;
-    - [snapshot.json] — the latest snapshot, written to a temp file and
-      renamed into place (atomic on POSIX).
+      followed by one record per line; created only when absent, then
+      reopened and appended to by every later boot;
+    - [snapshot.json] — legacy, read-only: older daemons compacted the
+      whole log into it.  {!recover} still merges it, so their state dirs
+      boot unchanged; the daemon never writes it.
 
     Every durability-critical syscall goes through {!Chaos.Fs}, so tests
     can fail or tear any write/fsync/rename and die at any named crash
     point deterministically.  Sites used here: [wal-open], [wal-header],
-    [wal-append], [wal-fsync], [wal-truncate], [snap-open], [snap-write],
-    [snap-fsync], [snap-rename], [dir-fsync]; points: [before-wal-append],
-    [after-wal-append], [after-wal-fsync], [after-snapshot-write],
-    [before-snapshot-rename], [after-snapshot-rename].
+    [wal-append], [wal-fsync], [wal-truncate]; points:
+    [before-wal-append], [after-wal-append], [after-wal-fsync].  The
+    legacy {!write_snapshot} adds [snap-*] sites, [dir-fsync] and
+    [*-snapshot-*] points.
 
     Crash and corruption windows (DESIGN.md §14):
-    - a torn final WAL line (power cut mid-append) is dropped and
-      reported in {!check} as torn-tail diagnosis;
+    - a torn final WAL line (unparseable, or missing its newline) is
+      dropped, reported by {!check}, and cut by the first {!sync} after
+      {!reopen};
     - a corrupt {e middle} line, a sequence regression/duplicate, or a
       damaged snapshot refuses to boot with a typed {!boot_error} naming
       the file, line, and byte offset — the log is damaged, not merely
@@ -39,9 +36,9 @@
       repaired on the next {!sync}: the writer tracks the last durable
       offset and truncates back to it before rewriting, so a retried
       batch can never leave interleaved half-records;
-    - a crash between snapshot rename and WAL truncation leaves records
-      with [seq <= last_seq] in the log — {!recover} drops them by
-      sequence number; an orphaned [snapshot.json.tmp] is deleted.
+    - WAL records a legacy snapshot already covers ([seq <= last_seq])
+      are dropped by sequence number; an orphaned [snapshot.json.tmp] is
+      deleted.
 
     The server [fsync]s the WAL before acknowledging a batch, so an acked
     submission is always recovered. *)
@@ -94,7 +91,7 @@ val snapshot_path : dir:string -> string
 
     A single-group daemon keeps the flat layout described above; a
     multi-group daemon ([Config.groups > 1]) gives every org-group its
-    own segment subdirectory [wal-<g>/] containing the same two files.
+    own segment subdirectory [wal-<g>/] laid out the same way.
     Each segment header stores the {e global} config, so any one segment
     identifies the whole partition, and recovery cross-checks that all
     segments agree. *)
@@ -140,6 +137,14 @@ val create :
     point this writer touches — see {!segment_site_prefix}.  Errors are
     one-line messages (unwritable directory, etc.). *)
 
+val reopen :
+  ?site_prefix:string -> dir:string -> config:Config.t -> at:int -> unit ->
+  (writer, string) result
+(** The boot path: append to the log {!recover} just read, [at] being
+    its {!recovery.r_wal_end} ([0]: {!create} one).  [at] is taken as the
+    last durable offset, so a torn tail beyond it is cut by the first
+    {!sync}, exactly as after a failed append. *)
+
 val append : writer -> record -> unit
 (** Buffered; call {!sync} before acknowledging. *)
 
@@ -157,7 +162,7 @@ val pending : writer -> bool
 
 val close : writer -> unit
 
-(** {2 Snapshots} *)
+(** {2 Legacy snapshots} *)
 
 type snapshot = {
   config : Config.t;
@@ -167,24 +172,30 @@ type snapshot = {
 
 val write_snapshot :
   ?site_prefix:string -> dir:string -> snapshot -> (string, string) result
-(** Write [snapshot.json] via temp-file + [fsync] + rename; returns the
-    final path.  The caller recreates the WAL ({!create}) afterwards to
-    compact. *)
+(** The legacy format's writer: [snapshot.json] via temp-file + [fsync] +
+    rename; returns the final path.  The daemon no longer calls it; it
+    builds legacy state dirs for tests and benchmarks. *)
 
 (** {2 Recovery} *)
 
 type recovery = {
   r_config : Config.t option;  (** [None] when the state dir is empty *)
-  r_records : record list;  (** snapshot records + WAL tail, deduped, oldest first *)
+  r_records : record list;
+      (** legacy snapshot records + WAL records, deduped, oldest first *)
   r_last_seq : int;  (** 0 when empty *)
+  r_wal_end : int;
+      (** byte offset just past the WAL's last intact line, where the
+          next append goes ({!reopen}); [0] when there is no WAL or its
+          header line is unterminated *)
 }
 
 val recover : dir:string -> (recovery, boot_error) result
-(** Read snapshot and WAL, drop WAL records already covered by the
-    snapshot ([seq <= last_seq]), verify the two agree on the config
-    ({!Config.equal}), tolerate a torn final WAL line, delete an orphaned
-    [snapshot.json.tmp].  Sequence numbers must be strictly increasing
-    within each file — a regression or duplicate is {!Corrupt}. *)
+(** Read the WAL and any legacy snapshot, drop WAL records the snapshot
+    already covers ([seq <= last_seq]), verify the two agree on the
+    config ({!Config.equal}), tolerate a torn final WAL line, delete an
+    orphaned [snapshot.json.tmp].  Sequence numbers must be strictly
+    increasing within each file — a regression or duplicate is
+    {!Corrupt}. *)
 
 (** {2 Offline inspection — [fairsched ctl wal-check]} *)
 
@@ -198,8 +209,9 @@ type check_report = {
   ck_first_seq : int;  (** 0 when no records *)
   ck_last_seq : int;
   ck_gaps : (int * int) list;
-      (** adjacent seq pairs [(a, b)] with [b > a + 1]; expected after
-          compaction, suspicious otherwise *)
+      (** adjacent seq pairs [(a, b)] with [b > a + 1].  The daemon
+          numbers records contiguously, so a gap means records went
+          missing *)
   ck_torn : (int * int * int) option;
       (** [(line, offset, bytes)] of a dropped torn tail *)
 }

@@ -1,9 +1,9 @@
 (* Tests for lib/chaos: the fault-injection plan language and shim
    mechanics, the corruption fuzzer's mutations, and — with real forks
-   dying at injected crash points — the WAL/snapshot protocol's crash
-   windows: a torn multi-record append recovers to a consistent prefix,
-   and a crash anywhere in the snapshot write/fsync/rename window never
-   loses or double-applies a record. *)
+   dying at injected crash points — the WAL's crash windows: a torn
+   multi-record append recovers to a consistent prefix, and a crash
+   anywhere in the legacy snapshot writer's write/fsync/rename window
+   never loses or double-applies a record. *)
 
 let ( let@ ) f x = f x
 

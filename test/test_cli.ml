@@ -236,7 +236,10 @@ let test_service_flag_errors () =
   (* An unwritable state dir is a startup error, not a crash. *)
   check_error "serve --listen /tmp/cli-test-unused.sock --state \
                /nonexistent/deep/state"
-    ~expect:"fairsched:"
+    ~expect:"fairsched:";
+  (* The WAL is the daemon's only durable state: there is no snapshot
+     to force. *)
+  check_error "ctl snapshot" ~expect:"invalid value 'snapshot'"
 
 (* Chaos plans are validated before the daemon binds anything.  The
    overload estimator switch is gone: --degrade is an unknown option. *)

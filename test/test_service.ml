@@ -151,10 +151,24 @@ let test_protocol_requests () =
        { time = 12; event = Faults.Event.Recover 2; cid = 3; cseq = 9; trace = 5 });
   roundtrip Service.Protocol.Status;
   roundtrip Service.Protocol.Psi;
-  roundtrip Service.Protocol.Snapshot;
   roundtrip (Service.Protocol.Drain { detail = true });
   (match Service.Protocol.request_of_line "{\"op\":\"nosuch\"}" with
   | Ok _ -> Alcotest.fail "unknown op accepted"
+  | Error _ -> ());
+  (* The daemon answers a line it cannot take with the code
+     [decode_request] gives it: an unknown op is a parse error, while
+     [snapshot] — served by older daemons, gone now that the WAL is the
+     only durable state — is a bad request that says why. *)
+  (match Service.Protocol.decode_request {|{"op":"nosuch"}|} with
+  | Error (Service.Protocol.Parse, _) -> ()
+  | _ -> Alcotest.fail "unknown op: expected a parse error");
+  (match Service.Protocol.decode_request {|{"op":"snapshot"}|} with
+  | Error (Service.Protocol.Bad_request, msg) ->
+      Alcotest.(check bool) ("snapshot refusal says why: " ^ msg) true
+        (contains msg "WAL")
+  | _ -> Alcotest.fail "snapshot op: expected a typed bad request");
+  (match Service.Protocol.request_of_line {|{"op":"snapshot"}|} with
+  | Ok _ -> Alcotest.fail "snapshot op accepted"
   | Error _ -> ());
   match Service.Protocol.request_of_line "not json" with
   | Ok _ -> Alcotest.fail "garbage accepted"
@@ -195,7 +209,6 @@ let test_protocol_responses () =
   roundtrip
     (Service.Protocol.Psi_ok
        { now = 7; psi_scaled = [| 4; 0; 9 |]; parts = [| 2; 0; 3 |] });
-  roundtrip (Service.Protocol.Snapshot_ok { seq = 11; path = "/tmp/snap" });
   roundtrip
     (Service.Protocol.Error
        {
@@ -362,9 +375,9 @@ let test_wal_torn_tail () =
 let test_wal_snapshot_dedupe () =
   let@ dir = with_tmpdir in
   let config = mk_config () in
-  (* Snapshot covering seqs 1-2; WAL holding 1-4 (as after a crash between
-     snapshot rename and WAL truncation): recovery must not replay 1-2
-     twice. *)
+  (* Legacy snapshot covering seqs 1-2; WAL holding 1-4 (as an older
+     daemon left it after a crash between snapshot rename and WAL
+     truncation): recovery must not replay 1-2 twice. *)
   let snap_records = [ List.nth sample_records 0; List.nth sample_records 1 ] in
   (match
      Service.Wal.write_snapshot ~dir
@@ -917,6 +930,45 @@ let test_crash_recovery () =
       Alcotest.(check string) "stats identical after crash"
         (stats_string batch.Sim.Driver.stats)
         (stats_string r.Service.Protocol.d_stats)
+  | _ -> Alcotest.fail "drain: unexpected response");
+  Service.Client.close client
+
+(* Job sizes are bounded like horizons: past Core.Instance.max_horizon a
+   start plus the size wraps, and a daemon that accepted one completed it
+   at a wrapped instant with parts and ψsp in the 10^18.  One past the
+   bound is refused with a typed error naming it; one at the bound runs
+   until the horizon cuts it and drains with ψsp >= 0. *)
+let test_size_bound () =
+  let@ dir = with_tmpdir in
+  let horizon = 1000 in
+  let service =
+    mk_config ~machines:[| 1; 1 |] ~horizon ~algorithm:"fairshare" ()
+  in
+  let bound = Core.Instance.max_horizon ~machines:2 in
+  let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
+  let@ _pid = with_server ~service addr in
+  let client = connect_retry addr in
+  let submit size =
+    request_ok client
+      (Service.Protocol.Submit
+         { org = 0; user = 0; release = 9; size; cid = 0; cseq = 0; trace = 0 })
+  in
+  (match submit (bound + 1) with
+  | Service.Protocol.Error { code = Service.Protocol.Bad_request; msg; _ } ->
+      Alcotest.(check bool) ("refusal names the bound: " ^ msg) true
+        (contains msg (string_of_int bound))
+  | _ -> Alcotest.fail "size one past the bound was not refused");
+  (match submit bound with
+  | Service.Protocol.Submit_ok _ -> ()
+  | _ -> Alcotest.fail "size at the bound was refused");
+  (match request_ok client (Service.Protocol.Drain { detail = false }) with
+  | Service.Protocol.Drain_ok r ->
+      Alcotest.(check int) "the job runs until the horizon" (horizon - 9)
+        r.Service.Protocol.d_parts.(0);
+      Alcotest.(check bool) "drained within the horizon" true
+        (r.Service.Protocol.d_now <= horizon);
+      Alcotest.(check bool) "psi >= 0" true
+        (Array.for_all (fun v -> v >= 0) r.Service.Protocol.d_psi_scaled)
   | _ -> Alcotest.fail "drain: unexpected response");
   Service.Client.close client
 
@@ -1617,12 +1669,11 @@ let sharded_differential_qcheck =
 (* Batched commit and the long-WAL path: a pipelined stream longer than
    4096 records per group is acked with far fewer fsyncs than acks (one
    fsync per pump covers every append the pump made), flat, grouped
-   inline and grouped threaded alike.  Nothing compacts the log on the
-   ack path: before the kill -9 no segment holds a snapshot and each WAL
-   holds every acked record.  After the restart every acked submission
-   is back, boot compaction has written one snapshot per segment covering
-   exactly the old log, and the drained ψsp equals the per-group batch
-   runs. *)
+   inline and grouped threaded alike.  Nothing compacts the log: before
+   the kill -9 no segment holds a snapshot and each WAL holds every acked
+   record.  After the restart every acked submission is back, each WAL
+   still holds every record (boot reopens it, it does not rewrite it),
+   and the drained ψsp equals the per-group batch runs. *)
 let test_group_commit_recovery () =
   List.iter
     (fun (groups, shards) ->
@@ -1748,17 +1799,16 @@ let test_group_commit_recovery () =
       | _ -> Alcotest.fail "status: unexpected response");
       List.iter
         (fun seg ->
-          let snap = check_file (Service.Wal.snapshot_path ~dir:seg) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: boot wrote no snapshot in %s" ctx seg)
+            false
+            (Sys.file_exists (Service.Wal.snapshot_path ~dir:seg));
+          let wal = check_file (Service.Wal.wal_path ~dir:seg) in
           Alcotest.(check int)
-            (ctx ^ ": boot snapshot covers last_seq")
-            per_group snap.Service.Wal.ck_last_seq;
-          Alcotest.(check int)
-            (ctx ^ ": boot snapshot holds every record")
-            per_group snap.Service.Wal.ck_submits;
-          Alcotest.(check int)
-            (ctx ^ ": compacted WAL is empty")
-            0
-            (check_file (Service.Wal.wal_path ~dir:seg)).Service.Wal.ck_submits)
+            (ctx ^ ": the WAL still holds every record after the restart")
+            per_group wal.Service.Wal.ck_submits;
+          Alcotest.(check int) (ctx ^ ": WAL last seq after the restart")
+            per_group wal.Service.Wal.ck_last_seq)
         seg_dirs;
       (match request_ok client (Service.Protocol.Drain { detail = false }) with
       | Service.Protocol.Drain_ok r ->
@@ -1768,6 +1818,225 @@ let test_group_commit_recovery () =
       | _ -> Alcotest.fail "drain: unexpected response");
       Service.Client.close client)
     [ (1, 1); (2, 1); (2, 2) ]
+
+(* A restarted daemon reports every acked record of its earlier lives. *)
+let expect_accepted ~ctx client k =
+  match request_ok client Service.Protocol.Status with
+  | Service.Protocol.Status_ok st ->
+      Alcotest.(check int) (ctx ^ ": acked records recovered") k
+        st.Service.Protocol.accepted
+  | _ -> Alcotest.fail "status: unexpected response"
+
+(* The WAL is the only durable state: boot replays a segment's log and
+   appends to the same file.  Three lives per (groups, shards): acks then
+   kill -9; half a record appended to every WAL (a torn tail); more acks
+   then kill -9; the rest and a drain.  ψsp and kernel stats equal the
+   per-group batch runs, every WAL is intact with strictly increasing
+   seqs (the second life cut the torn tail on its first sync), and no
+   snapshot is ever written. *)
+let test_reopen_torn_tail () =
+  List.iter
+    (fun (groups, shards) ->
+      let@ dir = with_tmpdir in
+      let state_dir = Filename.concat dir "state" in
+      let ctx = Printf.sprintf "groups=%d shards=%d" groups shards in
+      let machines = [| 2; 2 |] and horizon = 300 in
+      let service =
+        mk_config ~groups ~machines ~horizon ~algorithm:"fairshare" ()
+      in
+      let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
+      let n = 60 in
+      let jobs =
+        Array.init n (fun i ->
+            Core.Job.make ~org:(i mod 2) ~index:0 ~user:(i mod 3)
+              ~release:((i / 3) + 1)
+              ~size:(1 + (i * 7 mod 11))
+              ())
+      in
+      let golden_psi, _, golden_stats =
+        grouped_golden ~config:service
+          (Core.Instance.make ~machines ~jobs:(Array.to_list jobs) ~horizon)
+      in
+      let seg_dirs =
+        if groups = 1 then [ state_dir ]
+        else
+          List.init groups (fun group ->
+              Service.Wal.segment_dir ~dir:state_dir ~group)
+      in
+      let submit client lo hi =
+        for i = lo to hi - 1 do
+          let j = jobs.(i) in
+          match
+            request_ok client
+              (Service.Protocol.Submit
+                 {
+                   org = j.Core.Job.org;
+                   user = j.Core.Job.user;
+                   release = j.Core.Job.release;
+                   size = j.Core.Job.size;
+                   cid = 0;
+                   cseq = 0;
+                   trace = 0;
+                 })
+          with
+          | Service.Protocol.Submit_ok _ -> ()
+          | _ -> Alcotest.failf "%s: submit %d not acked" ctx i
+        done
+      in
+      (* Each segment's WAL: intact (Wal.check refuses a corrupt line or
+         a seq that does not strictly increase), no torn tail, no gap,
+         [acked] records (the orgs alternate, so the groups split them
+         evenly), and no snapshot beside it. *)
+      let check_wals ~acked =
+        List.iter
+          (fun seg ->
+            Alcotest.(check bool) (ctx ^ ": no snapshot in " ^ seg) false
+              (Sys.file_exists (Service.Wal.snapshot_path ~dir:seg));
+            match Service.Wal.check (Service.Wal.wal_path ~dir:seg) with
+            | Error e ->
+                Alcotest.failf "%s: %s" ctx (Service.Wal.boot_error_to_string e)
+            | Ok r ->
+                Alcotest.(check bool) (ctx ^ ": no torn tail") true
+                  (r.Service.Wal.ck_torn = None);
+                Alcotest.(check bool) (ctx ^ ": no seq gap") true
+                  (r.Service.Wal.ck_gaps = []);
+                Alcotest.(check int) (ctx ^ ": records in the WAL")
+                  (acked / groups) r.Service.Wal.ck_submits)
+          seg_dirs
+      in
+      let third = n / 3 in
+      (let@ pid = with_server ~state_dir ~shards ~service addr in
+       let client = connect_retry addr in
+       submit client 0 third;
+       Unix.kill pid Sys.sigkill;
+       ignore (Unix.waitpid [] pid);
+       Service.Client.close client);
+      List.iter
+        (fun seg ->
+          let oc =
+            open_out_gen [ Open_append ] 0o644 (Service.Wal.wal_path ~dir:seg)
+          in
+          output_string oc {|{"rec":"submit","seq":|};
+          close_out oc)
+        seg_dirs;
+      (let@ pid = with_server ~state_dir ~shards ~service addr in
+       let client = connect_retry addr in
+       expect_accepted ~ctx client third;
+       submit client third (2 * third);
+       Unix.kill pid Sys.sigkill;
+       ignore (Unix.waitpid [] pid);
+       Service.Client.close client);
+      check_wals ~acked:(2 * third);
+      (let@ _pid = with_server ~state_dir ~shards ~service addr in
+       let client = connect_retry addr in
+       expect_accepted ~ctx client (2 * third);
+       submit client (2 * third) n;
+       (match request_ok client (Service.Protocol.Drain { detail = false }) with
+       | Service.Protocol.Drain_ok r ->
+           Alcotest.(check (array int))
+             (ctx ^ ": psi identical to batch across two restarts")
+             golden_psi r.Service.Protocol.d_psi_scaled;
+           Alcotest.(check string)
+             (ctx ^ ": kernel stats identical to batch")
+             (stats_string golden_stats)
+             (stats_string r.Service.Protocol.d_stats)
+       | _ -> Alcotest.fail "drain: unexpected response");
+       Service.Client.close client);
+      check_wals ~acked:n)
+    [ (1, 1); (2, 1); (2, 2) ]
+
+(* A state dir written by an older daemon: a snapshot covering seqs 1..k
+   and a WAL still holding 1..k+j (that daemon crashed between the
+   snapshot's rename and the WAL's truncation).  It boots, acks more,
+   restarts and drains equal to the batch run; the snapshot is read,
+   never rewritten. *)
+let test_legacy_snapshot_dir () =
+  let@ dir = with_tmpdir in
+  let algorithm = "fairshare" and seed = 5 in
+  let instance = Workload.Scenario.instance spec ~seed:24 in
+  let batch = batch_result ~algorithm ~seed instance in
+  let service =
+    match
+      Service.Config.make
+        ~machines:(Array.copy instance.Core.Instance.machines)
+        ~horizon:instance.Core.Instance.horizon ~algorithm ~seed ()
+    with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "config: %s" msg
+  in
+  let state_dir = Filename.concat dir "state" in
+  let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
+  let jobs = instance.Core.Instance.jobs in
+  let n = Array.length jobs in
+  let k = n / 4 and logged = n / 2 and third_life = 3 * n / 4 in
+  Alcotest.(check bool) "instance non-trivial" true (k > 2);
+  let records =
+    List.init logged (fun i ->
+        let j = jobs.(i) in
+        Service.Wal.Submit
+          {
+            seq = i + 1;
+            org = j.Core.Job.org;
+            user = j.Core.Job.user;
+            release = j.Core.Job.release;
+            size = j.Core.Job.size;
+            cid = 0;
+            cseq = 0;
+          })
+  in
+  Unix.mkdir state_dir 0o755;
+  (match
+     Service.Wal.write_snapshot ~dir:state_dir
+       {
+         Service.Wal.config = service;
+         last_seq = k;
+         records = List.filteri (fun i _ -> i < k) records;
+       }
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "write_snapshot: %s" msg);
+  (match Service.Wal.create ~dir:state_dir ~config:service () with
+  | Ok w ->
+      List.iter (Service.Wal.append w) records;
+      (match Service.Wal.sync w with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "wal sync: %s" msg);
+      Service.Wal.close w
+  | Error msg -> Alcotest.failf "wal create: %s" msg);
+  let snap_path = Service.Wal.snapshot_path ~dir:state_dir in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let snap_bytes = read snap_path in
+  (let@ pid = with_server ~state_dir ~service addr in
+   let client = connect_retry addr in
+   expect_accepted ~ctx:"legacy" client logged;
+   Array.iteri
+     (fun i j -> if i >= logged && i < third_life then submit_job client j)
+     jobs;
+   Unix.kill pid Sys.sigkill;
+   ignore (Unix.waitpid [] pid);
+   Service.Client.close client);
+  (let@ _pid = with_server ~state_dir ~service addr in
+   let client = connect_retry addr in
+   expect_accepted ~ctx:"legacy" client third_life;
+   Array.iteri (fun i j -> if i >= third_life then submit_job client j) jobs;
+   (match request_ok client (Service.Protocol.Drain { detail = false }) with
+   | Service.Protocol.Drain_ok r ->
+       Alcotest.(check (array int)) "psi identical to batch"
+         batch.Sim.Driver.utilities_scaled r.Service.Protocol.d_psi_scaled;
+       Alcotest.(check string) "stats identical to batch"
+         (stats_string batch.Sim.Driver.stats)
+         (stats_string r.Service.Protocol.d_stats)
+   | _ -> Alcotest.fail "drain: unexpected response");
+   Service.Client.close client);
+  Alcotest.(check bool) "snapshot.json byte-identical" true
+    (read snap_path = snap_bytes);
+  match Service.Wal.check (Service.Wal.wal_path ~dir:state_dir) with
+  | Ok r ->
+      Alcotest.(check int) "the WAL holds every record" n
+        r.Service.Wal.ck_submits;
+      Alcotest.(check (pair int int)) "WAL seq range" (1, n)
+        (r.Service.Wal.ck_first_seq, r.Service.Wal.ck_last_seq)
+  | Error e -> Alcotest.fail (Service.Wal.boot_error_to_string e)
 
 (* Fault isolation: a chaos plan targeting one segment's fsyncs
    (site prefix g1/) turns that group's submissions into wal-errors while
@@ -1864,6 +2133,9 @@ let () =
           Alcotest.test_case "served-equivalence" `Quick
             test_served_equivalence;
           Alcotest.test_case "crash-recovery" `Quick test_crash_recovery;
+          Alcotest.test_case "legacy-snapshot-dir" `Quick
+            test_legacy_snapshot_dir;
+          Alcotest.test_case "size-bound" `Quick test_size_bound;
           Alcotest.test_case "boot-mode-back-to-base" `Quick
             test_boot_mode_back_to_base;
           Alcotest.test_case "boot-mode-refused" `Quick test_boot_mode_refused;
@@ -1883,6 +2155,7 @@ let () =
           QCheck_alcotest.to_alcotest sharded_differential_qcheck;
           Alcotest.test_case "group-commit-recovery" `Quick
             test_group_commit_recovery;
+          Alcotest.test_case "reopen-torn-tail" `Quick test_reopen_torn_tail;
           Alcotest.test_case "chaos-isolation" `Quick
             test_shard_chaos_isolation;
         ] );

@@ -150,6 +150,10 @@ let crash_specs =
     ([ "torn@wal-append:3=5"; "crash@after-wal-fsync:4" ], true);
     ([ "torn@wal-append:4=9"; "crash@wal-truncate:1" ], true);
     ([ "torn@wal-append:3=5"; "torn@wal-append:3=7" ], true);
+    (* A batch written but never fsynced by the first life is read back
+       by the second, which must fsync it before serving: its first
+       wal-fsync is that boot fsync, so it dies before taking a request. *)
+    ([ "crash@after-wal-append:3"; "crash@wal-fsync:1" ], true);
   ]
 
 let crash_trial ~root ~tid ~plans ~expect_crash ~seed ~serve_flags ~jobs

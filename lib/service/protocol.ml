@@ -69,7 +69,6 @@ type error_code =
   | Backpressure
   | Draining
   | Wal_error
-  | Unsupported
 
 type response =
   | Submit_ok of { seq : int; org : int; index : int; now : int }
@@ -88,7 +87,6 @@ let error_code_to_string = function
   | Backpressure -> "backpressure"
   | Draining -> "draining"
   | Wal_error -> "wal-error"
-  | Unsupported -> "unsupported"
 
 let error_code_of_string = function
   | "parse" -> Some Parse
@@ -96,7 +94,6 @@ let error_code_of_string = function
   | "backpressure" -> Some Backpressure
   | "draining" -> Some Draining
   | "wal-error" -> Some Wal_error
-  | "unsupported" -> Some Unsupported
   | _ -> None
 
 (* --- JSON helpers ------------------------------------------------------ *)

@@ -111,7 +111,6 @@ type error_code =
   | Backpressure  (** admission queue full — retry later *)
   | Draining  (** daemon is shutting down; no further feeding *)
   | Wal_error  (** durability failure; the submission was NOT accepted *)
-  | Unsupported  (** unknown op *)
 
 type response =
   | Submit_ok of { seq : int; org : int; index : int; now : int }

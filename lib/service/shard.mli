@@ -119,7 +119,8 @@ val create :
     directory — the flat state dir when unsharded, [wal-<g>/] otherwise),
     verify its stored config equals the partition's, replay into a fresh
     engine under the configured algorithm, rebuild the dedupe cache, and
-    reopen the segment's WAL for append ({!Wal.reopen}).  A legacy
+    reopen the segment's WAL for append ({!Wal.reopen}, which fsyncs it
+    before anything is served).  A legacy
     [snapshot.json] is read and left untouched.
 
     A segment written by an older daemon may hold legacy {!Wal.Mode}

@@ -271,7 +271,11 @@ let sync w =
 (* Boot reopens the log where recovery stopped reading: [at] is the end
    of its last intact line.  Anything past it is a torn tail; starting
    [durable_len] at [at] makes the first {!sync} cut it through the same
-   repair a failed append gets. *)
+   repair a failed append gets.  The records recovery just replayed may
+   sit only in the page cache (the last life died between a batch's write
+   and its fsync), yet their stamps now answer retransmissions from the
+   dedupe table without a new sync; one fsync here makes them durable
+   before anything is served. *)
 let reopen ?(site_prefix = "") ~dir ~config ~at () =
   if at = 0 then create ~site_prefix ~dir ~config ()
   else
@@ -280,6 +284,7 @@ let reopen ?(site_prefix = "") ~dir ~config ~at () =
           Chaos.Fs.openfile ~site:(site_prefix ^ "wal-open") (wal_path ~dir)
             [ Unix.O_WRONLY ] 0o644
         in
+        Chaos.Fs.fsync ~site:(site_prefix ^ "wal-fsync") fd;
         let len = Unix.LargeFile.((fstat fd).st_size) in
         ignore (Unix.LargeFile.lseek fd (Int64.of_int at) Unix.SEEK_SET);
         writer ~prefix:site_prefix fd ~durable_len:at

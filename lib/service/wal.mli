@@ -19,10 +19,10 @@
     Every durability-critical syscall goes through {!Chaos.Fs}, so tests
     can fail or tear any write/fsync/rename and die at any named crash
     point deterministically.  Sites used here: [wal-open], [wal-header],
-    [wal-append], [wal-fsync], [wal-truncate]; points:
-    [before-wal-append], [after-wal-append], [after-wal-fsync].  The
-    legacy {!write_snapshot} adds [snap-*] sites, [dir-fsync] and
-    [*-snapshot-*] points.
+    [wal-append], [wal-fsync] (also hit once by {!reopen}),
+    [wal-truncate]; points: [before-wal-append], [after-wal-append],
+    [after-wal-fsync].  The legacy {!write_snapshot} adds [snap-*] sites,
+    [dir-fsync] and [*-snapshot-*] points.
 
     Crash and corruption windows (DESIGN.md §14):
     - a torn final WAL line (unparseable, or missing its newline) is
@@ -143,7 +143,11 @@ val reopen :
 (** The boot path: append to the log {!recover} just read, [at] being
     its {!recovery.r_wal_end} ([0]: {!create} one).  [at] is taken as the
     last durable offset, so a torn tail beyond it is cut by the first
-    {!sync}, exactly as after a failed append. *)
+    {!sync}, exactly as after a failed append.  The reopened file is
+    [fsync]ed once before it is returned: the previous life may have died
+    between a batch's write and its fsync, and the records recovery read
+    back from the page cache must be durable before their stamps answer
+    a retransmission. *)
 
 val append : writer -> record -> unit
 (** Buffered; call {!sync} before acknowledging. *)

@@ -752,11 +752,10 @@ let test_online_admission () =
 
 (* --- Socket-level tests ------------------------------------------------------ *)
 
-(* Fork a daemon, wait for readiness via the ready-pipe trick, run [f],
-   then terminate the child.  [f] gets the server's pid so crash tests
-   can SIGKILL it. *)
-let with_server ?state_dir ?(queue_cap = 1024) ?(drain_batch = 256) ?shards
-    ?chaos ~service addr f =
+(* Fork a daemon and wait for readiness via the ready-pipe trick:
+   [true] once it reports ready, [false] if it died first. *)
+let spawn_server ?state_dir ?(queue_cap = 1024) ?(drain_batch = 256) ?shards
+    ?chaos ~service addr =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
@@ -790,10 +789,20 @@ let with_server ?state_dir ?(queue_cap = 1024) ?(drain_batch = 256) ?shards
       let buf = Bytes.create 1 in
       let got = try Unix.read r buf 0 1 with Unix.Unix_error _ -> 0 in
       Unix.close r;
-      if got = 0 then begin
-        ignore (Unix.waitpid [] pid);
-        Alcotest.fail "server died before becoming ready"
-      end;
+      (pid, got > 0)
+
+(* [spawn_server], run [f], then terminate the child.  [f] gets the
+   server's pid so crash tests can SIGKILL it. *)
+let with_server ?state_dir ?queue_cap ?drain_batch ?shards ?chaos ~service
+    addr f =
+  match
+    spawn_server ?state_dir ?queue_cap ?drain_batch ?shards ?chaos ~service
+      addr
+  with
+  | pid, false ->
+      ignore (Unix.waitpid [] pid);
+      Alcotest.fail "server died before becoming ready"
+  | pid, true ->
       Fun.protect
         ~finally:(fun () ->
           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -1413,7 +1422,7 @@ let test_loadgen () =
 
 (* A stub daemon on a unix socket: acks every submit at once except the
    very first, which it holds for [hold_s]; every other request gets an
-   [Unsupported] error.  Connections are served one after another. *)
+   [Bad_request] error.  Connections are served one after another. *)
 let with_stall_stub ~hold_s addr f =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Service.Addr.to_sockaddr addr);
@@ -1438,7 +1447,7 @@ let with_stall_stub ~hold_s addr f =
                | Ok _ | Error _ ->
                    Service.Protocol.Error
                      {
-                       code = Service.Protocol.Unsupported;
+                       code = Service.Protocol.Bad_request;
                        msg = "stub";
                        retry_after_ms = None;
                      }
@@ -1945,6 +1954,42 @@ let test_reopen_torn_tail () =
       check_wals ~acked:n)
     [ (1, 1); (2, 1); (2, 2) ]
 
+(* A life that dies between a batch's write and its fsync leaves records
+   the next boot reads back from the page cache and answers
+   retransmissions of from the dedupe table, without a sync of its own.
+   Boot must fsync the reopened WAL before it serves: a plan that crashes
+   at the first wal-fsync kills the second life before it is ready, with
+   no request sent to it. *)
+let test_reopen_fsyncs_before_serving () =
+  let@ dir = with_tmpdir in
+  let state_dir = Filename.concat dir "state" in
+  let service = mk_config ~machines:[| 1; 1 |] ~horizon:1000 () in
+  let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
+  (let@ pid = with_server ~state_dir ~service addr in
+   let client = connect_retry addr in
+   for release = 1 to 3 do
+     match
+       request_ok client
+         (Service.Protocol.Submit
+            { org = 0; user = 0; release; size = 1; cid = 4; cseq = release;
+              trace = 0 })
+     with
+     | Service.Protocol.Submit_ok _ -> ()
+     | _ -> Alcotest.fail "submit not acked"
+   done;
+   Unix.kill pid Sys.sigkill;
+   ignore (Unix.waitpid [] pid);
+   Service.Client.close client);
+  match spawn_server ~state_dir ~chaos:"crash@wal-fsync:1" ~service addr with
+  | pid, true ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      Alcotest.fail "the restarted life served before fsyncing its WAL"
+  | pid, false -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED c when c = Chaos.Fs.exit_code -> ()
+      | _ -> Alcotest.fail "the restarted life died, but not at wal-fsync")
+
 (* A state dir written by an older daemon: a snapshot covering seqs 1..k
    and a WAL still holding 1..k+j (that daemon crashed between the
    snapshot's rename and the WAL's truncation).  It boots, acks more,
@@ -2156,6 +2201,8 @@ let () =
           Alcotest.test_case "group-commit-recovery" `Quick
             test_group_commit_recovery;
           Alcotest.test_case "reopen-torn-tail" `Quick test_reopen_torn_tail;
+          Alcotest.test_case "reopen-fsyncs-before-serving" `Quick
+            test_reopen_fsyncs_before_serving;
           Alcotest.test_case "chaos-isolation" `Quick
             test_shard_chaos_isolation;
         ] );
